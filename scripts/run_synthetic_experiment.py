@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sasvkit.cli import write_score_file
 from sasvkit.metrics import METRIC_NAMES, evaluate_system, write_report
-from sasvkit.models import score_trials, train_baseline2, train_iep, train_msfm
+from sasvkit.models import SYSTEMS, score_trials
 from sasvkit.neuralcore import TrainConfig
 from sasvkit.sampling import SynthConfig, generate_synthetic
 
@@ -33,6 +33,10 @@ def parse_args():
     return parser.parse_args()
 
 
+def _eer_cell(eer):
+    return f"{'absent':>12}" if eer is None else f"{eer:>12.2f}"
+
+
 def main():
     args = parse_args()
     synth = SynthConfig(seed=args.seed, n_speakers=args.n_speakers)
@@ -43,18 +47,15 @@ def main():
     print(f"{len(dataset.train_records)} train utterances, "
           f"{len(dataset.eval_trials)} eval trials")
 
-    trainers = [
-        ("baseline2", train_baseline2, {}),
-        ("iep", train_iep, {}),
-        ("msfm-no-sssv", train_msfm, {"use_sssv_score": False}),
-        ("msfm", train_msfm, {}),
-    ]
-    systems = [("asv-only", "asv-only"), ("baseline1", "baseline1")]
-    for name, trainer, kwargs in trainers:
+    systems = [("asv-only", "asv-only")]
+    for name, system in SYSTEMS.items():
+        if system.train is None:
+            systems.append((name, name))
+            continue
         start = time.perf_counter()
-        model, history = trainer(
+        model, history = system.train(
             dataset.train_records, dataset.asv_store, dataset.cm_store,
-            config, **kwargs,
+            config, **system.options,
         )
         final = {k: v for k, v in history[-1].items() if k != "epoch"}
         print(f"trained {name} in {time.perf_counter() - start:.1f}s "
@@ -78,7 +79,7 @@ def main():
     print(header)
     print("-" * len(header))
     for name, report in rows:
-        cells = "".join(f"{report.eer_percent[m]:>12.2f}" for m in METRIC_NAMES)
+        cells = "".join(_eer_cell(report.eer_percent[m]) for m in METRIC_NAMES)
         print(f"{name:<14}{cells}")
     if args.out is not None:
         print(f"\nscores and reports written under {args.out}/")

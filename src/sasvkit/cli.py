@@ -37,17 +37,7 @@ from .data import (
     write_trial_list,
 )
 from .metrics import ScoredTrial, evaluate_system, write_report
-from .models import (
-    Baseline2Model,
-    IepModel,
-    MsfmModel,
-    load_model,
-    save_model,
-    score_trials,
-    train_baseline2,
-    train_iep,
-    train_msfm,
-)
+from .models import SYSTEMS, load_model, save_model, score_trials, system_name
 from .neuralcore import TrainConfig
 from .sampling import SynthConfig, generate_synthetic
 
@@ -55,7 +45,7 @@ _LOG = logging.getLogger("sasvkit")
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
-MODEL_CHOICES = ("msfm", "msfm-no-sssv", "iep", "baseline1", "baseline2")
+MODEL_CHOICES = tuple(SYSTEMS)
 
 RESOLVED_CONFIG_NAME = "resolved_config.txt"
 
@@ -218,20 +208,25 @@ def write_resolved_config(out: Path, command: str, settings: dict) -> None:
     (out / RESOLVED_CONFIG_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _model_kind(model) -> str:
-    if isinstance(model, MsfmModel):
-        return "msfm" if model.use_sssv_score else "msfm-no-sssv"
-    if isinstance(model, IepModel):
-        return "iep"
-    if isinstance(model, Baseline2Model):
-        return "baseline2"
-    raise UsageError(f"unsupported model object {type(model).__name__}")
-
-
 def _load_stores(settings: dict, command: str):
     asv_path = _existing_path(settings, "asv_store", command)
     cm_path = _existing_path(settings, "cm_store", command)
     return load_embedding_store(asv_path, "asv"), load_embedding_store(cm_path, "cm")
+
+
+def _load_trials(settings: dict, command: str) -> list:
+    enrollment_path = _existing_path(settings, "enrollment", command)
+    trials_path = _existing_path(settings, "trials", command)
+    enrollment = parse_enrollment_map(enrollment_path.read_text(encoding="utf-8"))
+    return parse_trial_list(trials_path.read_text(encoding="utf-8"), enrollment)
+
+
+def _log_eers(command: str, report) -> None:
+    for metric, eer in report.eer_percent.items():
+        if eer is None:
+            _LOG.info("%s: %s EER absent", command, metric.upper())
+        else:
+            _LOG.info("%s: %s EER %.2f%%", command, metric.upper(), eer)
 
 
 def cmd_synth(args: argparse.Namespace) -> None:
@@ -255,16 +250,6 @@ def cmd_synth(args: argparse.Namespace) -> None:
     )
 
 
-_TRAINERS = {
-    "msfm": lambda records, asv, cm, cfg: train_msfm(records, asv, cm, cfg, use_sssv_score=True),
-    "msfm-no-sssv": lambda records, asv, cm, cfg: train_msfm(
-        records, asv, cm, cfg, use_sssv_score=False
-    ),
-    "iep": train_iep,
-    "baseline2": train_baseline2,
-}
-
-
 def _write_train_log(out: Path, kind: str, config: TrainConfig, history: list) -> None:
     lines = [f"model = {kind}", f"seed = {config.seed}"]
     for row in history:
@@ -281,17 +266,18 @@ def cmd_train(args: argparse.Namespace) -> None:
         args, _TRAIN_KEYS, ("seed", "out", "model", "asv_store", "cm_store", "protocol")
     )
     kind = _require(settings, "model", "train")
-    if kind == "baseline1":
-        raise UsageError("baseline1 is a fixed score sum; it has nothing to train")
-    if kind not in _TRAINERS:
+    if kind not in SYSTEMS:
         raise UsageError(f"unknown model kind {kind!r}; choose from {MODEL_CHOICES}")
+    system = SYSTEMS[kind]
+    if system.train is None:
+        raise UsageError(f"{kind} is training-free; it has nothing to train")
     out = _out_dir(settings, "train")
     config = _build_dataclass(TrainConfig, settings)
     protocol_path = _existing_path(settings, "protocol", "train")
     asv_store, cm_store = _load_stores(settings, "train")
     records = parse_cm_protocol(protocol_path.read_text(encoding="utf-8"))
     _LOG.info("train: fitting %s on %d protocol records", kind, len(records))
-    model, history = _TRAINERS[kind](records, asv_store, cm_store, config)
+    model, history = system.train(records, asv_store, cm_store, config, **system.options)
     for row in history:
         _LOG.debug("train: %s", row)
     save_model(model, out / "model.ckpt")
@@ -335,23 +321,20 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
         raise UsageError(f"unknown model kind {kind!r}; choose from {MODEL_CHOICES}")
     bins = _bins(settings)
     out = _out_dir(settings, "evaluate")
-    if kind == "baseline1":
+    if SYSTEMS[kind].model_class is None:
         if settings.get("checkpoint") is not None:
-            raise UsageError("baseline1 takes no checkpoint")
-        system = "baseline1"
+            raise UsageError(f"{kind} takes no checkpoint")
+        system = kind
     else:
         checkpoint = _existing_path(settings, "checkpoint", "evaluate")
         system = load_model(checkpoint)
-        actual = _model_kind(system)
+        actual = system_name(system)
         if actual != kind:
             raise UsageError(
                 f"checkpoint {checkpoint} holds a {actual} model, not {kind}"
             )
     asv_store, cm_store = _load_stores(settings, "evaluate")
-    enrollment_path = _existing_path(settings, "enrollment", "evaluate")
-    trials_path = _existing_path(settings, "trials", "evaluate")
-    enrollment = parse_enrollment_map(enrollment_path.read_text(encoding="utf-8"))
-    trials = parse_trial_list(trials_path.read_text(encoding="utf-8"), enrollment)
+    trials = _load_trials(settings, "evaluate")
     _LOG.info("evaluate: scoring %d trials with %s", len(trials), kind)
     scored = score_trials(system, trials, asv_store, cm_store)
     write_score_file(scored, out / "scores.txt")
@@ -370,8 +353,7 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
     if settings.get("seed") is not None:
         resolved["seed"] = _coerce("seed", settings["seed"], int)
     write_resolved_config(out, "evaluate", resolved)
-    for metric, eer in report.eer_percent.items():
-        _LOG.info("evaluate: %s EER %.2f%%", metric.upper(), eer)
+    _log_eers("evaluate", report)
 
 
 def parse_score_file(text: str, source: str = "scores") -> dict:
@@ -414,10 +396,7 @@ def cmd_report(args: argparse.Namespace) -> None:
     bins = _bins(settings)
     out = _out_dir(settings, "report")
     scores_path = _existing_path(settings, "scores", "report")
-    enrollment_path = _existing_path(settings, "enrollment", "report")
-    trials_path = _existing_path(settings, "trials", "report")
-    enrollment = parse_enrollment_map(enrollment_path.read_text(encoding="utf-8"))
-    trials = parse_trial_list(trials_path.read_text(encoding="utf-8"), enrollment)
+    trials = _load_trials(settings, "report")
     scores = parse_score_file(
         scores_path.read_text(encoding="utf-8"), source=str(scores_path)
     )
@@ -454,8 +433,7 @@ def cmd_report(args: argparse.Namespace) -> None:
     if settings.get("seed") is not None:
         resolved["seed"] = _coerce("seed", settings["seed"], int)
     write_resolved_config(out, "report", resolved)
-    for metric, eer in report.eer_percent.items():
-        _LOG.info("report: %s EER %.2f%%", metric.upper(), eer)
+    _log_eers("report", report)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .neuralcore import (
 from .sampling import sample_training_pairs, sample_triplets
 
 MODEL_MAGIC = b"SASVMDL1"
-MODEL_KINDS = ("msfm", "iep", "baseline2")
 
 DEFAULT_ASV_DIM = 192
 DEFAULT_CM_DIM = 160
@@ -145,19 +144,6 @@ def _baseline2_spec(in_dim: int) -> MlpSpec:
     )
 
 
-def cosine_score(a, b) -> float:
-    """Cosine similarity of two vectors; zero vectors are rejected."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape or av.ndim != 1:
-        raise ValueError(f"expected two vectors of equal length, got {av.shape} and {bv.shape}")
-    na = np.linalg.norm(av)
-    nb = np.linalg.norm(bv)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity of a zero vector is undefined")
-    return float(av @ bv / (na * nb))
-
-
 def _row_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
@@ -210,13 +196,7 @@ class MsfmModel:
 
     def score_batch(self, enroll_asv, enroll_cm, test_asv, test_cm) -> np.ndarray:
         """Fused target probability for rows of trial embeddings."""
-        asv = _row_cosine(enroll_asv, test_asv)
-        cm = _row_cosine(enroll_cm, test_cm)
-        s, _, _ = _sssv_logits(self, enroll_asv, enroll_cm, test_asv, test_cm)
-        columns = [asv, cm]
-        if self.use_sssv_score:
-            columns.append(softmax(s)[:, 1])
-        v, _ = self.fusion_head.forward(np.column_stack(columns))
+        _, _, v, _ = _msfm_pass(self, enroll_asv, enroll_cm, test_asv, test_cm)
         return softmax(v)[:, 1]
 
 
@@ -240,54 +220,19 @@ def make_msfm(
     )
 
 
-def _sssv_logits(model: MsfmModel, enroll_asv, enroll_cm, test_asv, test_cm):
+def _msfm_pass(model: MsfmModel, enroll_asv, enroll_cm, test_asv, test_cm):
+    """Speaker-match logits, their softmax, fusion logits, and the four tapes."""
     enroll_in = np.column_stack([_unit_rows(enroll_asv), _unit_rows(enroll_cm)])
     test_in = np.column_stack([_unit_rows(test_asv), _unit_rows(test_cm)])
     enc_e, tape_e = model.enroll_encoder.forward(enroll_in)
     enc_t, tape_t = model.test_encoder.forward(test_in)
     s, tape_s = model.verification_head.forward(np.column_stack([enc_e, enc_t]))
-    return s, (tape_e, tape_t, tape_s), (enc_e, enc_t)
-
-
-def sssv_forward(model: MsfmModel, enroll_asv, enroll_cm, test_asv, test_cm) -> np.ndarray:
-    """Two-logit speaker-match evidence for one trial's embeddings."""
-    s, _, _ = _sssv_logits(
-        model,
-        np.atleast_2d(enroll_asv),
-        np.atleast_2d(enroll_cm),
-        np.atleast_2d(test_asv),
-        np.atleast_2d(test_cm),
-    )
-    return s[0]
-
-
-def msfm_forward(model: MsfmModel, asv_score: float, cm_score: float,
-                 sssv_score: float | None = None) -> tuple:
-    """Fuse per-trial scores into (logits, target probability)."""
-    if model.use_sssv_score and sssv_score is None:
-        raise ValueError("this model fuses three scores; sssv_score is required")
-    if not model.use_sssv_score and sssv_score is not None:
-        raise ValueError("this model fuses two scores; sssv_score must be omitted")
-    scores = [asv_score, cm_score]
-    if sssv_score is not None:
-        scores.append(sssv_score)
-    v, _ = model.fusion_head.forward(np.asarray(scores, dtype=np.float64))
-    return v, float(softmax(v)[1])
-
-
-def msfm_loss(model: MsfmModel, enroll_asv, enroll_cm, test_asv, test_cm,
-              sv_target, sasv_target) -> tuple:
-    """Per-pair losses: (speaker-match loss, fusion loss, their sum)."""
-    batch = PairBatch(
-        np.atleast_2d(np.asarray(enroll_asv, dtype=np.float64)),
-        np.atleast_2d(np.asarray(enroll_cm, dtype=np.float64)),
-        np.atleast_2d(np.asarray(test_asv, dtype=np.float64)),
-        np.atleast_2d(np.asarray(test_cm, dtype=np.float64)),
-        np.atleast_2d(np.asarray(sv_target, dtype=np.float64)),
-        np.atleast_2d(np.asarray(sasv_target, dtype=np.float64)),
-    )
-    l_sssv, l_sf, l_total, _ = msfm_batch_losses(model, batch, compute_grads=False)
-    return l_sssv, l_sf, l_total
+    p_s = softmax(s)
+    columns = [_row_cosine(enroll_asv, test_asv), _row_cosine(enroll_cm, test_cm)]
+    if model.use_sssv_score:
+        columns.append(p_s[:, 1])
+    v, tape_v = model.fusion_head.forward(np.column_stack(columns))
+    return s, p_s, v, (tape_e, tape_t, tape_s, tape_v)
 
 
 @dataclass
@@ -311,16 +256,9 @@ def msfm_batch_losses(model: MsfmModel, batch: PairBatch,
     if loss not in ("sssv", "sf", "total"):
         raise ValueError(f"unknown loss selector {loss!r}")
     n = batch.enroll_asv.shape[0]
-    s, (tape_e, tape_t, tape_s), _ = _sssv_logits(
+    s, p_s, v, (tape_e, tape_t, tape_s, tape_v) = _msfm_pass(
         model, batch.enroll_asv, batch.enroll_cm, batch.test_asv, batch.test_cm
     )
-    p_s = softmax(s)
-    asv = _row_cosine(batch.enroll_asv, batch.test_asv)
-    cm = _row_cosine(batch.enroll_cm, batch.test_cm)
-    columns = [asv, cm]
-    if model.use_sssv_score:
-        columns.append(p_s[:, 1])
-    v, tape_v = model.fusion_head.forward(np.column_stack(columns))
     l_sssv = float(_row_cce(s, batch.sv_target).mean())
     l_sf = float(_row_cce(v, batch.sasv_target).mean())
     l_total = l_sssv + l_sf
@@ -356,8 +294,7 @@ def msfm_batch_losses(model: MsfmModel, batch: PairBatch,
 def _one_hot_rows(flags) -> np.ndarray:
     """Row [0, 1] where the flag is set, [1, 0] otherwise."""
     rows = np.zeros((len(flags), 2))
-    for i, flag in enumerate(flags):
-        rows[i, 1 if flag else 0] = 1.0
+    rows[np.arange(len(flags)), np.asarray(flags, dtype=int)] = 1.0
     return rows
 
 
@@ -386,9 +323,42 @@ def _check_dims(asv_store: EmbeddingStore, cm_store: EmbeddingStore,
         )
 
 
-def _check_finite_loss(value: float) -> None:
-    if not math.isfinite(value):
-        raise NonFiniteError("loss is not finite")
+def _fit(model, config: TrainConfig, batch_size: int, names: tuple,
+         draw, gather, batch_loss) -> list:
+    """The training loop of every back-end; returns the per-epoch history.
+
+    Each epoch trains on the items of one ``draw()``, ``batch_size`` at a
+    time: ``gather`` turns a chunk into a batch, and ``batch_loss`` returns
+    one loss per name in ``names`` followed by the gradients for
+    ``model.tensors()``. A history row holds the mean of each loss over the
+    epoch, and their sum as ``loss_total`` when there are several.
+    """
+    tensors = model.tensors()
+    state = OptimizerState()
+    history = []
+    for epoch in range(config.epochs):
+        items = draw()
+        sums = [0.0] * len(names)
+        for step, start in enumerate(range(0, len(items), batch_size)):
+            chunk = items[start : start + batch_size]
+            batch = gather(chunk)
+            try:
+                *losses, grads = batch_loss(batch)
+                if not all(math.isfinite(loss) for loss in losses):
+                    raise NonFiniteError("loss is not finite")
+                state = optimizer_step(tensors, grads, config, state)
+            except NonFiniteError as exc:
+                raise RuntimeError(
+                    f"non-finite loss at epoch {epoch}, step {step}"
+                ) from exc
+            for i, loss in enumerate(losses):
+                sums[i] += loss * len(chunk)
+        row = {"epoch": epoch}
+        row.update((name, total / len(items)) for name, total in zip(names, sums))
+        if len(sums) > 1:
+            row["loss_total"] = sum(sums) / len(items)
+        history.append(row)
+    return history
 
 
 def train_msfm(records, asv_store: EmbeddingStore, cm_store: EmbeddingStore,
@@ -401,34 +371,17 @@ def train_msfm(records, asv_store: EmbeddingStore, cm_store: EmbeddingStore,
     """
     rng = np.random.default_rng(config.seed)
     model = make_msfm(asv_store.dim, cm_store.dim, use_sssv_score, rng)
-    tensors = model.tensors()
-    state = OptimizerState()
-    history = []
-    for epoch in range(config.epochs):
-        pairs = sample_training_pairs(records, config.samples_per_epoch, rng)
-        sssv_sum = fusion_sum = 0.0
-        for step, start in enumerate(range(0, len(pairs), config.batch_size)):
-            chunk = pairs[start : start + config.batch_size]
-            batch = pair_batch(chunk, asv_store, cm_store)
-            try:
-                l_sssv, l_sf, l_total, grads = msfm_batch_losses(model, batch)
-                _check_finite_loss(l_total)
-                state = optimizer_step(tensors, grads, config, state)
-            except NonFiniteError as exc:
-                raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, step {step}"
-                ) from exc
-            sssv_sum += l_sssv * len(chunk)
-            fusion_sum += l_sf * len(chunk)
-        history.append(
-            {
-                "epoch": epoch,
-                "loss_sssv": sssv_sum / len(pairs),
-                "loss_fusion": fusion_sum / len(pairs),
-                "loss_total": (sssv_sum + fusion_sum) / len(pairs),
-            }
-        )
-    return model, history
+
+    def batch_loss(batch):
+        l_sssv, l_sf, _, grads = msfm_batch_losses(model, batch)
+        return l_sssv, l_sf, grads
+
+    return model, _fit(
+        model, config, config.batch_size, ("loss_sssv", "loss_fusion"),
+        lambda: sample_training_pairs(records, config.samples_per_epoch, rng),
+        lambda chunk: pair_batch(chunk, asv_store, cm_store),
+        batch_loss,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -559,35 +512,16 @@ def train_iep(records, asv_store: EmbeddingStore, cm_store: EmbeddingStore,
     """Train the embedding projector; returns (model, loss history)."""
     rng = np.random.default_rng(config.seed)
     model = make_iep(asv_store.dim, cm_store.dim, config.margin, rng)
-    tensors = model.tensors()
-    state = OptimizerState()
-    history = []
-    for epoch in range(config.epochs):
-        triplets = sample_triplets(records, config.samples_per_epoch, rng)
-        loss_sum = 0.0
-        for step, start in enumerate(range(0, len(triplets), config.triplets_per_batch)):
-            chunk = triplets[start : start + config.triplets_per_batch]
-            arrays = _triplet_batch(chunk, asv_store, cm_store)
-            try:
-                loss, grads = iep_batch_loss(model, *arrays, margin=config.margin)
-                _check_finite_loss(loss)
-                state = optimizer_step(tensors, grads, config, state)
-            except NonFiniteError as exc:
-                raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, step {step}"
-                ) from exc
-            loss_sum += loss * len(chunk)
-        history.append({"epoch": epoch, "loss_triplet": loss_sum / len(triplets)})
-    return model, history
+    return model, _fit(
+        model, config, config.triplets_per_batch, ("loss_triplet",),
+        lambda: sample_triplets(records, config.samples_per_epoch, rng),
+        lambda chunk: _triplet_batch(chunk, asv_store, cm_store),
+        lambda arrays: iep_batch_loss(model, *arrays, margin=config.margin),
+    )
 
 
 # ---------------------------------------------------------------------------
 # baselines
-
-
-def baseline1_score(asv_score: float, cm_score: float) -> float:
-    """Training-free fusion: the plain sum of the two subsystem scores."""
-    return float(asv_score) + float(cm_score)
 
 
 @dataclass
@@ -623,17 +557,6 @@ def make_baseline2(
     )
 
 
-def baseline2_forward(model: Baseline2Model, enroll_asv, test_asv, test_cm) -> float:
-    """Target probability for one trial's embeddings."""
-    scores = model.score_batch(
-        np.atleast_2d(np.asarray(enroll_asv, dtype=np.float64)),
-        None,
-        np.atleast_2d(np.asarray(test_asv, dtype=np.float64)),
-        np.atleast_2d(np.asarray(test_cm, dtype=np.float64)),
-    )
-    return float(scores[0])
-
-
 def baseline2_batch_loss(model: Baseline2Model, batch: PairBatch,
                          compute_grads: bool = True) -> tuple:
     n = batch.enroll_asv.shape[0]
@@ -652,26 +575,12 @@ def train_baseline2(records, asv_store: EmbeddingStore, cm_store: EmbeddingStore
                     config: TrainConfig) -> tuple:
     rng = np.random.default_rng(config.seed)
     model = make_baseline2(asv_store.dim, cm_store.dim, rng)
-    tensors = model.tensors()
-    state = OptimizerState()
-    history = []
-    for epoch in range(config.epochs):
-        pairs = sample_training_pairs(records, config.samples_per_epoch, rng)
-        loss_sum = 0.0
-        for step, start in enumerate(range(0, len(pairs), config.batch_size)):
-            chunk = pairs[start : start + config.batch_size]
-            batch = pair_batch(chunk, asv_store, cm_store)
-            try:
-                loss, grads = baseline2_batch_loss(model, batch)
-                _check_finite_loss(loss)
-                state = optimizer_step(tensors, grads, config, state)
-            except NonFiniteError as exc:
-                raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, step {step}"
-                ) from exc
-            loss_sum += loss * len(chunk)
-        history.append({"epoch": epoch, "loss_cce": loss_sum / len(pairs)})
-    return model, history
+    return model, _fit(
+        model, config, config.batch_size, ("loss_cce",),
+        lambda: sample_training_pairs(records, config.samples_per_epoch, rng),
+        lambda chunk: pair_batch(chunk, asv_store, cm_store),
+        lambda batch: baseline2_batch_loss(model, batch),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -735,9 +644,7 @@ def score_trials(system, trials, asv_store: EmbeddingStore,
     trials = list(trials)
     if not trials:
         return []
-    if isinstance(system, str) and system not in ("baseline1", "asv-only"):
-        raise ValueError(f"unknown scoring system {system!r}")
-    if not isinstance(system, str) and not hasattr(system, "score_batch"):
+    if system not in ("baseline1", "asv-only") and not hasattr(system, "score_batch"):
         raise ValueError(f"unknown scoring system {system!r}")
     if hasattr(system, "asv_dim"):
         _check_dims(asv_store, cm_store, system.asv_dim, system.cm_dim)
@@ -752,11 +659,62 @@ def score_trials(system, trials, asv_store: EmbeddingStore,
 
 
 # ---------------------------------------------------------------------------
-# checkpoints
+# system registry
 
-_MSFM_BLOCKS = ("enroll_encoder", "test_encoder", "verification_head", "fusion_head")
-_IEP_BLOCKS = ("trunk", "projector")
-_BASELINE2_BLOCKS = ("mlp",)
+
+class System(NamedTuple):
+    """What the CLI, the checkpoints and the experiment script know of a system.
+
+    ``options`` are the model attributes its name fixes, passed to ``train``;
+    ``header`` maps extra checkpoint header fields to their types; the first
+    of ``blocks`` reads ``asv_inputs`` ASV embeddings and one CM embedding.
+    """
+
+    model_class: type | None  # None for a training-free system
+    train: Callable | None
+    options: dict
+    kind: str | None  # checkpoint kind; the two msfm systems share one
+    blocks: tuple
+    header: dict
+    asv_inputs: int
+
+
+_MSFM_SYSTEM = System(
+    model_class=MsfmModel, train=train_msfm, options={"use_sssv_score": True}, kind="msfm",
+    blocks=("enroll_encoder", "test_encoder", "verification_head", "fusion_head"),
+    header={"use_sssv_score": bool}, asv_inputs=1,
+)
+
+SYSTEMS = {
+    "msfm": _MSFM_SYSTEM,
+    "msfm-no-sssv": _MSFM_SYSTEM._replace(options={"use_sssv_score": False}),
+    "iep": System(
+        model_class=IepModel, train=train_iep, options={}, kind="iep",
+        blocks=("trunk", "projector"), header={"margin": float}, asv_inputs=1,
+    ),
+    "baseline1": System(
+        model_class=None, train=None, options={}, kind=None,
+        blocks=(), header={}, asv_inputs=0,
+    ),
+    "baseline2": System(
+        model_class=Baseline2Model, train=train_baseline2, options={}, kind="baseline2",
+        blocks=("mlp",), header={}, asv_inputs=2,
+    ),
+}
+
+
+def system_name(model) -> str:
+    """The SYSTEMS name of a trained model."""
+    for name, system in SYSTEMS.items():
+        if type(model) is system.model_class and all(
+            getattr(model, key) == value for key, value in system.options.items()
+        ):
+            return name
+    raise ValueError(f"{type(model).__name__} is not a model of any system")
+
+
+# ---------------------------------------------------------------------------
+# checkpoints
 
 
 def _spec_to_json(spec: MlpSpec) -> list:
@@ -769,103 +727,93 @@ def _spec_to_json(spec: MlpSpec) -> list:
     return out
 
 
-def _spec_from_json(desc) -> MlpSpec:
+def _spec_from_json(desc: list) -> MlpSpec:
     layers = []
     for entry in desc:
-        if entry[0] == "fc":
-            layers.append(FullyConnected(int(entry[1]), int(entry[2])))
-        elif entry[0] == "elu":
+        if entry == ["elu"]:
             layers.append(Elu())
+        elif (isinstance(entry, list) and len(entry) == 3 and entry[0] == "fc"
+              and all(type(dim) is int for dim in entry[1:])):
+            layers.append(FullyConnected(entry[1], entry[2]))
         else:
-            raise ValueError(f"unknown layer kind {entry[0]!r} in checkpoint")
+            raise ValueError(f"malformed layer {entry!r} in checkpoint")
     return MlpSpec(tuple(layers))
 
 
-def _model_blocks(model):
-    if isinstance(model, MsfmModel):
-        return "msfm", _MSFM_BLOCKS
-    if isinstance(model, IepModel):
-        return "iep", _IEP_BLOCKS
-    if isinstance(model, Baseline2Model):
-        return "baseline2", _BASELINE2_BLOCKS
-    raise ValueError(f"cannot checkpoint {type(model).__name__}")
+def _check_fields(header: dict, types: dict) -> None:
+    for key, typ in types.items():
+        value = header.get(key)  # exact JSON types: a bool is no int; an int is a float
+        if type(value) not in ((int, float) if typ is float else (typ,)):
+            raise ValueError(f"checkpoint header {key!r}: missing or not {typ.__name__}")
 
 
 def save_model(model, path) -> None:
     """Write a checkpoint; loading reproduces the parameters bit-exactly."""
-    kind, block_names = _model_blocks(model)
+    system = SYSTEMS[system_name(model)]
     header = {
-        "kind": kind,
+        "kind": system.kind,
         "asv_dim": model.asv_dim,
         "cm_dim": model.cm_dim,
-        "blocks": {name: _spec_to_json(getattr(model, name).spec) for name in block_names},
+        "blocks": {name: _spec_to_json(getattr(model, name).spec) for name in system.blocks},
     }
-    if kind == "msfm":
-        header["use_sssv_score"] = model.use_sssv_score
-    if kind == "iep":
-        header["margin"] = model.margin
+    header.update((key, getattr(model, key)) for key in system.header)
     payload = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(payload)))
+        fh.write(len(payload).to_bytes(4, "little"))
         fh.write(payload)
-        for name in block_names:
+        for name in system.blocks:
             for tensor in getattr(model, name).params.tensors():
                 fh.write(tensor.astype("<f8").tobytes())
 
 
 def load_model(path):
-    """Load a checkpoint written by save_model."""
+    """Load a checkpoint written by save_model; a malformed one raises ValueError."""
     raw = Path(path).read_bytes()
     if raw[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise ValueError("bad magic bytes: not a model checkpoint")
-    offset = len(MODEL_MAGIC)
-    (header_len,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
-    header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
+    offset = len(MODEL_MAGIC) + 4
+    header_len = int.from_bytes(raw[len(MODEL_MAGIC) : offset], "little")
+    if offset + header_len > len(raw):
+        raise ValueError("truncated checkpoint header")
+    try:
+        header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"checkpoint header is not valid JSON: {exc}") from None
     offset += header_len
-    kind = header["kind"]
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r} in checkpoint")
-    block_names = {
-        "msfm": _MSFM_BLOCKS,
-        "iep": _IEP_BLOCKS,
-        "baseline2": _BASELINE2_BLOCKS,
-    }[kind]
+    if not isinstance(header, dict):
+        raise ValueError("checkpoint header is not a JSON object")
+    _check_fields(header, {"kind": str, "asv_dim": int, "cm_dim": int, "blocks": dict})
+    system = next(
+        (s for s in SYSTEMS.values() if s.blocks and s.kind == header["kind"]), None
+    )
+    if system is None:
+        raise ValueError(f"unknown model kind {header['kind']!r} in checkpoint")
+    _check_fields(header, system.header)
+    _check_fields(header["blocks"], dict.fromkeys(system.blocks, list))
+    specs = {name: _spec_from_json(header["blocks"][name]) for name in system.blocks}
+    first = specs[system.blocks[0]].input_dim
+    if system.asv_inputs * header["asv_dim"] + header["cm_dim"] != first:
+        raise ValueError(
+            f"checkpoint asv_dim {header['asv_dim']} and cm_dim {header['cm_dim']} "
+            f"do not fit the {system.blocks[0]} input dimension {first}"
+        )
+    n_values = sum(
+        (layer.in_dim + 1) * layer.out_dim for spec in specs.values() for layer in spec.fc_layers
+    )
+    if offset + 8 * n_values > len(raw):
+        raise ValueError("truncated checkpoint")
+    if offset + 8 * n_values < len(raw):
+        raise ValueError("trailing bytes after checkpoint payload")
     blocks = {}
-    for name in block_names:
-        spec = _spec_from_json(header["blocks"][name])
+    for name, spec in specs.items():
         params = MlpParams.zeros(spec)
-        for i, tensor in enumerate(params.tensors()):
-            nbytes = tensor.size * 8
-            if offset + nbytes > len(raw):
-                raise ValueError("truncated checkpoint")
+        for tensor in params.tensors():
             flat = np.frombuffer(raw, dtype="<f8", count=tensor.size, offset=offset)
             tensor[...] = flat.reshape(tensor.shape)
-            offset += nbytes
+            offset += tensor.nbytes
         blocks[name] = Mlp(spec, params)
-    if offset != len(raw):
-        raise ValueError("trailing bytes after checkpoint payload")
-    if kind == "msfm":
-        return MsfmModel(
-            enroll_encoder=blocks["enroll_encoder"],
-            test_encoder=blocks["test_encoder"],
-            verification_head=blocks["verification_head"],
-            fusion_head=blocks["fusion_head"],
-            use_sssv_score=bool(header["use_sssv_score"]),
-            asv_dim=int(header["asv_dim"]),
-            cm_dim=int(header["cm_dim"]),
-        )
-    if kind == "iep":
-        return IepModel(
-            trunk=blocks["trunk"],
-            projector=blocks["projector"],
-            margin=float(header["margin"]),
-            asv_dim=int(header["asv_dim"]),
-            cm_dim=int(header["cm_dim"]),
-        )
-    return Baseline2Model(
-        mlp=blocks["mlp"],
-        asv_dim=int(header["asv_dim"]),
-        cm_dim=int(header["cm_dim"]),
+    extra = {key: typ(header[key]) for key, typ in system.header.items()}
+    return system.model_class(
+        **blocks, **extra, asv_dim=header["asv_dim"], cm_dim=header["cm_dim"]
     )

@@ -27,8 +27,6 @@ __all__ = [
     "Tape",
     "TrainConfig",
     "OptimizerState",
-    "elu",
-    "dense_forward",
     "mlp_forward",
     "mlp_backward",
     "softmax",
@@ -168,29 +166,10 @@ class MlpParams:
             out.append(b)
         return out
 
-    def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-
-def elu(x) -> np.ndarray:
-    """ELU with alpha = 1: x for x > 0, expm1(x) otherwise."""
-    arr = _as_f64(x, "elu input")
-    return np.where(arr > 0, arr, np.expm1(arr))
-
 
 def _elu_backward(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
     # derivative is 1 on the positive side and elu(x) + 1 = exp(x) on the other
     return grad * np.where(out > 0, 1.0, out + 1.0)
-
-
-def dense_forward(weight: np.ndarray, bias: np.ndarray, x) -> np.ndarray:
-    """Affine map for a single vector or a batch of row vectors."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape[-1] != weight.shape[1]:
-        raise ValueError(
-            f"input dim {arr.shape[-1]} does not match weight input dim {weight.shape[1]}"
-        )
-    return arr @ weight.T + bias
 
 
 @dataclass
@@ -281,11 +260,6 @@ def cce_loss(logits, target) -> float:
     m = l.max()
     lse = m + math.log(np.exp(l - m).sum())
     return float(lse - l[int(np.argmax(t))])
-
-
-def softmax_cce_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Gradient of summed CCE w.r.t. logits for rows of one-hot targets."""
-    return softmax(logits) - targets
 
 
 @dataclass

@@ -1,7 +1,6 @@
 import logging
 
 import pytest
-
 from sasvkit.cli import main, parse_kv_text, parse_score_file, UsageError
 from sasvkit.data import (
     load_embedding_store,
@@ -209,6 +208,26 @@ class TestEvaluate:
             assert main(args) == 1
         message = caplog.records[-1].getMessage()
         assert "ghost-a" in message and "ghost-b" in message
+
+
+class TestAbsentMetric:
+    def test_trials_without_spoofs_log_absent_spf_eer(self, corpus, tmp_path, run_cli):
+        trials = tmp_path / "no_spoof.txt"
+        lines = (corpus / "trials_eval.txt").read_text().splitlines()
+        trials.write_text("\n".join(l for l in lines if l.split()[-1] != "spoof") + "\n")
+        evaluated = run_cli(*evaluate_args(corpus, tmp_path / "eval", trials=trials))
+        reported = run_cli(
+            "report",
+            "--scores", tmp_path / "eval" / "scores.txt",
+            "--trials", trials,
+            "--enrollment", corpus / "enrollment.txt",
+            "--out", tmp_path / "report",
+        )
+        for result in (evaluated, reported):
+            assert result.returncode == 0, result.stderr
+            assert "Logging error" not in result.stderr
+            assert "Traceback" not in result.stderr
+            assert "SPF EER absent" in result.stderr
 
 
 class TestReport:

@@ -1,7 +1,12 @@
+import json
+import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sasvkit.data import EmbeddingStore
 from sasvkit.metrics import evaluate_system
@@ -10,10 +15,8 @@ from sasvkit.models import (
     IepModel,
     MsfmModel,
     PairBatch,
-    baseline1_score,
+    _msfm_pass,
     baseline2_batch_loss,
-    baseline2_forward,
-    cosine_score,
     iep_batch_loss,
     iep_project,
     load_model,
@@ -21,17 +24,15 @@ from sasvkit.models import (
     make_iep,
     make_msfm,
     msfm_batch_losses,
-    msfm_forward,
-    msfm_loss,
     pair_batch,
     save_model,
     score_trials,
-    sssv_forward,
     train_baseline2,
     train_iep,
     train_msfm,
     triplet_loss,
 )
+from sasvkit.cli import main
 from sasvkit.neuralcore import Elu, TrainConfig, grad_check, optimizer_step
 from sasvkit.sampling import SynthConfig, generate_synthetic
 from sasvkit.data import TrialRecord
@@ -59,24 +60,46 @@ def small_synth(**overrides):
     return generate_synthetic(SynthConfig(**settings))
 
 
+def cosine(a, b) -> float:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def asv_only_scores(enroll, tests) -> list:
+    """asv-only scores of one enrollment vector against each test vector."""
+    asv = EmbeddingStore(len(enroll), "asv")
+    cm = EmbeddingStore(1, "cm")
+    asv.add("e", enroll)
+    cm.add("e", [1.0])
+    trials = []
+    for i, vector in enumerate(tests):
+        asv.add(f"t{i}", vector)
+        cm.add(f"t{i}", [1.0])
+        trials.append(TrialRecord("spk", ("e",), f"t{i}", "target"))
+    return [s.score for s in score_trials("asv-only", trials, asv, cm)]
+
+
 class TestCosineScore:
     def test_known_value(self):
-        assert cosine_score([1.0, 0.0], [1.0, 1.0]) == pytest.approx(
+        assert asv_only_scores([1.0, 0.0], [[1.0, 1.0]])[0] == pytest.approx(
             0.7071067811865475, abs=1e-12
         )
 
     def test_identical_and_opposite(self):
         v = [0.3, -1.2, 0.5]
-        assert cosine_score(v, v) == pytest.approx(1.0, abs=1e-12)
-        assert cosine_score(v, [-x for x in v]) == pytest.approx(-1.0, abs=1e-12)
+        same, opposite = asv_only_scores(v, [v, [-x for x in v]])
+        assert same == pytest.approx(1.0, abs=1e-12)
+        assert opposite == pytest.approx(-1.0, abs=1e-12)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero vector"):
-            cosine_score([0.0, 0.0], [1.0, 0.0])
+            asv_only_scores([0.0, 0.0], [[1.0, 0.0]])
 
     def test_shape_mismatch_rejected(self):
+        # enrollment and test rows of unequal width cannot be compared
+        model = make_msfm(6, 5)
         with pytest.raises(ValueError):
-            cosine_score([1.0, 0.0], [1.0, 0.0, 0.0])
+            model.score_batch(np.ones((1, 6)), np.ones((1, 5)), np.ones((1, 7)), np.ones((1, 5)))
 
 
 class TestFactories:
@@ -122,16 +145,21 @@ class TestZeroWeightInvariants:
             tensor[...] = 0.0
         return model
 
+    def ones_batch(self, sv_label):
+        return PairBatch(
+            np.ones((1, 6)), np.ones((1, 5)), np.ones((1, 6)), np.ones((1, 5)),
+            one_hot(sv_label)[None, :], one_hot(1)[None, :],
+        )
+
     def test_sssv_outputs_zero_logits(self):
         model = self.zeroed(make_msfm(6, 5))
-        s = sssv_forward(model, np.ones(6), np.ones(5), np.ones(6), np.ones(5))
-        assert np.array_equal(s, np.zeros(2))
+        s, *_ = _msfm_pass(model, np.ones((1, 6)), np.ones((1, 5)), np.ones((1, 6)), np.ones((1, 5)))
+        assert np.array_equal(s, np.zeros((1, 2)))
 
     def test_total_loss_is_two_ln_two(self):
         model = self.zeroed(make_msfm(6, 5))
-        l_sssv, l_sf, l_total = msfm_loss(
-            model, np.ones(6), np.ones(5), np.ones(6), np.ones(5),
-            one_hot(1), one_hot(1),
+        l_sssv, l_sf, l_total, _ = msfm_batch_losses(
+            model, self.ones_batch(1), compute_grads=False
         )
         assert l_sssv == pytest.approx(LN2, abs=1e-12)
         assert l_sf == pytest.approx(LN2, abs=1e-12)
@@ -139,22 +167,11 @@ class TestZeroWeightInvariants:
 
     def test_baseline2_scores_half(self):
         model = self.zeroed(make_baseline2(6, 5))
-        assert baseline2_forward(model, np.ones(6), np.ones(6), np.ones(5)) == pytest.approx(
-            0.5, abs=1e-12
-        )
+        scores = model.score_batch(np.ones((1, 6)), None, np.ones((1, 6)), np.ones((1, 5)))
+        assert scores[0] == pytest.approx(0.5, abs=1e-12)
 
 
 class TestMsfmForward:
-    def test_requires_sssv_score_when_fused(self):
-        model = make_msfm(6, 5, use_sssv_score=True)
-        with pytest.raises(ValueError, match="required"):
-            msfm_forward(model, 0.5, 0.5)
-
-    def test_rejects_sssv_score_when_not_fused(self):
-        model = make_msfm(6, 5, use_sssv_score=False)
-        with pytest.raises(ValueError, match="omitted"):
-            msfm_forward(model, 0.5, 0.5, 0.3)
-
     def test_score_batch_matches_single_forward(self):
         rng = np.random.default_rng(2)
         model = make_msfm(6, 5, rng=rng)
@@ -162,14 +179,8 @@ class TestMsfmForward:
         t_asv, t_cm = rng.normal(size=(3, 6)), rng.normal(size=(3, 5))
         batch_scores = model.score_batch(e_asv, e_cm, t_asv, t_cm)
         for i in range(3):
-            s = sssv_forward(model, e_asv[i], e_cm[i], t_asv[i], t_cm[i])
-            p = math.exp(s[1]) / (math.exp(s[0]) + math.exp(s[1]))
-            _, score = msfm_forward(
-                model,
-                cosine_score(e_asv[i], t_asv[i]),
-                cosine_score(e_cm[i], t_cm[i]),
-                p,
-            )
+            rows = slice(i, i + 1)
+            (score,) = model.score_batch(e_asv[rows], e_cm[rows], t_asv[rows], t_cm[rows])
             assert batch_scores[i] == pytest.approx(score, abs=1e-12)
 
 
@@ -417,7 +428,7 @@ class TestScoreTrials:
         asv, cm = tiny_stores()
         trial = TrialRecord("spkA", ("e1",), "t1", "target")
         scored = score_trials("baseline1", [trial], asv, cm)
-        expected = cosine_score([1.0, 0.0], [1.0, 1.0]) + cosine_score(
+        expected = cosine([1.0, 0.0], [1.0, 1.0]) + cosine(
             [1.0, 0.0], [0.0, 1.0]
         )
         assert scored[0].score == pytest.approx(expected, abs=1e-12)
@@ -427,14 +438,14 @@ class TestScoreTrials:
         trial = TrialRecord("spkA", ("e1",), "t1", "target")
         scored = score_trials("asv-only", [trial], asv, cm)
         assert scored[0].score == pytest.approx(
-            cosine_score([1.0, 0.0], [1.0, 1.0]), abs=1e-12
+            cosine([1.0, 0.0], [1.0, 1.0]), abs=1e-12
         )
 
     def test_multi_utterance_enrollment_is_averaged(self):
         asv, cm = tiny_stores()
         trial = TrialRecord("spkA", ("e1", "e2"), "t1", "target")
         scored = score_trials("asv-only", [trial], asv, cm)
-        expected = cosine_score([0.5, 0.5], [1.0, 1.0])
+        expected = cosine([0.5, 0.5], [1.0, 1.0])
         assert scored[0].score == pytest.approx(expected, abs=1e-12)
 
     def test_missing_test_embedding_lists_ids(self):
@@ -453,7 +464,7 @@ class TestScoreTrials:
         trial = TrialRecord("spkA", ("enroll_only",), "t1", "target")
         scored = score_trials("baseline1", [trial], asv, cm)
         fallback = np.array([0.5, 1.0])  # mean of the two stored cm vectors
-        expected = cosine_score([1.0, 0.0], [1.0, 1.0]) + cosine_score(
+        expected = cosine([1.0, 0.0], [1.0, 1.0]) + cosine(
             fallback, [0.0, 1.0]
         )
         assert scored[0].score == pytest.approx(expected, abs=1e-12)
@@ -485,7 +496,96 @@ class TestScoreTrials:
             assert report.eer_percent["sasv"] is not None
 
 
+def checkpoint_bytes(header, payload: bytes) -> bytes:
+    text = json.dumps(header).encode("utf-8")
+    return b"SASVMDL1" + len(text).to_bytes(4, "little") + text + payload
+
+
+def without(header: dict, key: str) -> dict:
+    return {k: v for k, v in header.items() if k != key}
+
+
+def with_first_layer(header: dict, layer) -> dict:
+    encoder = [layer] + header["blocks"]["enroll_encoder"][1:]
+    return dict(header, blocks=dict(header["blocks"], enroll_encoder=encoder))
+
+
+# (case, file bytes from a valid header and payload, expected message)
+MALFORMED_CHECKPOINTS = [
+    ("shorter-than-12-bytes", lambda h, p: b"SASVMDL1\x01", "truncated checkpoint header"),
+    ("header-not-an-object", lambda h, p: checkpoint_bytes([h], p), "not a JSON object"),
+    ("no-kind", lambda h, p: checkpoint_bytes(without(h, "kind"), p), "'kind'"),
+    ("no-blocks", lambda h, p: checkpoint_bytes(without(h, "blocks"), p), "'blocks'"),
+    ("no-asv-dim", lambda h, p: checkpoint_bytes(without(h, "asv_dim"), p), "'asv_dim'"),
+    ("short-layer", lambda h, p: checkpoint_bytes(with_first_layer(h, ["fc"]), p),
+     "malformed layer"),
+    ("dims-disagree", lambda h, p: checkpoint_bytes(dict(h, asv_dim=7), p), "do not fit"),
+]
+
+
+def valid_checkpoint(path: Path) -> bytes:
+    save_model(make_msfm(6, 5, rng=np.random.default_rng(8)), path)
+    return path.read_bytes()
+
+
+def split_checkpoint(raw: bytes) -> tuple:
+    header_len = int.from_bytes(raw[8:12], "little")
+    return json.loads(raw[12 : 12 + header_len]), raw[12 + header_len :]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ckpt_fuzz")
+
+
 class TestCheckpoints:
+    @pytest.mark.parametrize(
+        "build, message", [case[1:] for case in MALFORMED_CHECKPOINTS],
+        ids=[case[0] for case in MALFORMED_CHECKPOINTS],
+    )
+    def test_malformed_checkpoint_rejected(self, tmp_path, run_cli, build, message):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(build(*split_checkpoint(valid_checkpoint(path))))
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+        result = run_cli("evaluate", "--model", "msfm", "--checkpoint", path,
+                         "--out", tmp_path / "eval")
+        assert result.returncode == 1
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+
+    def check_damaged(self, fuzz_dir, raw: bytes, caplog) -> None:
+        """A damaged file loads or raises ValueError; through the CLI it fails cleanly."""
+        path = fuzz_dir / "damaged.ckpt"
+        path.write_bytes(raw)
+        try:
+            load_model(path)
+            return
+        except ValueError:
+            pass
+        caplog.clear()
+        code = main(["evaluate", "--model", "msfm", "--checkpoint", str(path),
+                     "--out", str(fuzz_dir / "eval")])
+        assert code == 1
+        assert [r.levelno for r in caplog.records] == [logging.ERROR]
+        assert "\n" not in caplog.records[0].getMessage()
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fraction=st.floats(0.0, 1.0, exclude_max=True))
+    def test_truncation_fuzz(self, fuzz_dir, caplog, fraction):
+        raw = valid_checkpoint(fuzz_dir / "valid.ckpt")
+        self.check_damaged(fuzz_dir, raw[: int(fraction * len(raw))], caplog)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(position=st.floats(0.0, 1.0, exclude_max=True), bit=st.integers(0, 7))
+    def test_byte_flip_fuzz(self, fuzz_dir, caplog, position, bit):
+        # flips land in the magic, the length field or the JSON header
+        raw = bytearray(valid_checkpoint(fuzz_dir / "valid.ckpt"))
+        header_end = 12 + int.from_bytes(raw[8:12], "little")
+        raw[int(position * header_end)] ^= 1 << bit
+        self.check_damaged(fuzz_dir, bytes(raw), caplog)
+
     def roundtrip(self, model, tmp_path, name):
         path = tmp_path / name
         save_model(model, path)
@@ -505,6 +605,17 @@ class TestCheckpoints:
         assert isinstance(loaded, IepModel)
         assert loaded.margin == 0.25
         assert all(np.array_equal(a, b) for a, b in zip(model.tensors(), loaded.tensors()))
+
+    def test_iep_integer_margin_roundtrip(self, tmp_path):
+        # the margin is written as given, so an int margin stays an int in the header
+        model = make_iep(7, 5, margin=1, rng=np.random.default_rng(2))
+        loaded, path = self.roundtrip(model, tmp_path, "i.ckpt")
+        header, payload = split_checkpoint(path.read_bytes())
+        assert type(header["margin"]) is int
+        assert loaded.margin == 1.0 and isinstance(loaded.margin, float)
+        path.write_bytes(checkpoint_bytes(dict(header, margin=True), payload))
+        with pytest.raises(ValueError, match="'margin': missing or not float"):
+            load_model(path)
 
     def test_baseline2_roundtrip(self, tmp_path):
         model = make_baseline2(7, 5, rng=np.random.default_rng(3))
@@ -544,8 +655,12 @@ class TestCheckpoints:
 
 class TestBaseline1:
     def test_score_is_plain_sum(self):
-        assert baseline1_score(0.25, 0.5) == 0.75
-        assert baseline1_score(-0.5, 0.5) == 0.0
+        asv, cm = tiny_stores()
+        trial = TrialRecord("spkA", ("e2",), "t1", "target")
+        (summed,) = score_trials("baseline1", [trial], asv, cm)
+        (asv_only,) = score_trials("asv-only", [trial], asv, cm)
+        expected = asv_only.score + cosine([1.0, 0.0], [0.0, 1.0])
+        assert summed.score == pytest.approx(expected, abs=1e-12)
 
 
 class TestPairBatchConstruction:

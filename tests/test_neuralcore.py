@@ -15,8 +15,6 @@ from sasvkit.neuralcore import (
     OptimizerState,
     TrainConfig,
     cce_loss,
-    dense_forward,
-    elu,
     grad_check,
     mlp_backward,
     mlp_forward,
@@ -27,22 +25,37 @@ from sasvkit.neuralcore import (
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 
+def elu(values) -> np.ndarray:
+    """ELU of each value, run as a batch through a unit linear layer plus ELU."""
+    spec = MlpSpec((FullyConnected(1, 1), Elu()))
+    params = MlpParams(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
+    out, _ = mlp_forward(spec, params, np.asarray(values, dtype=np.float64)[:, None])
+    return out[:, 0]
+
+
+def dense(weight, bias, x) -> np.ndarray:
+    """One fully-connected layer through mlp_forward."""
+    spec = MlpSpec((FullyConnected(weight.shape[1], weight.shape[0]),))
+    out, _ = mlp_forward(spec, MlpParams(weights=[weight], biases=[bias]), x)
+    return out
+
+
 class TestElu:
     def test_zero_and_positive_pass_through(self):
-        np.testing.assert_array_equal(elu(np.array([0.0, 1.5])), [0.0, 1.5])
+        np.testing.assert_array_equal(elu([0.0, 1.5]), [0.0, 1.5])
 
     def test_negative_uses_expm1(self):
-        np.testing.assert_allclose(elu(np.array([-1.0])), [math.expm1(-1.0)], rtol=0, atol=0)
+        np.testing.assert_allclose(elu([-1.0]), [math.expm1(-1.0)], rtol=0, atol=0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            elu(np.array([1.0, np.nan]))
+            elu([1.0, np.nan])
         with pytest.raises(ValueError):
-            elu(np.array([np.inf]))
+            elu([np.inf])
 
     @given(st.lists(finite_floats, min_size=1, max_size=20))
     def test_monotone_and_bounded_below(self, values):
-        out = elu(np.array(values))
+        out = elu(values)
         assert np.all(out >= -1.0)
         order = np.argsort(values)
         assert np.all(np.diff(out[order]) >= 0)
@@ -53,22 +66,22 @@ class TestDenseForward:
         w = np.eye(3)
         b = np.zeros(3)
         x = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(dense_forward(w, b, x), x)
+        np.testing.assert_array_equal(dense(w, b, x), x)
 
     def test_affine(self):
         w = np.array([[1.0, 1.0]])
         b = np.array([0.5])
-        np.testing.assert_array_equal(dense_forward(w, b, np.array([1.0, 2.0])), [3.5])
+        np.testing.assert_array_equal(dense(w, b, np.array([1.0, 2.0])), [3.5])
 
     def test_batch(self):
         w = np.array([[2.0, 0.0], [0.0, 1.0]])
         b = np.array([1.0, 0.0])
         x = np.array([[1.0, 1.0], [0.0, 3.0]])
-        np.testing.assert_array_equal(dense_forward(w, b, x), [[3.0, 1.0], [1.0, 3.0]])
+        np.testing.assert_array_equal(dense(w, b, x), [[3.0, 1.0], [1.0, 3.0]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            dense_forward(np.zeros((2, 3)), np.zeros(2), np.zeros(4))
+            dense(np.zeros((2, 3)), np.zeros(2), np.zeros(4))
 
 
 class TestSpecValidation:
