@@ -85,9 +85,14 @@ def _configure_logging() -> None:
         raise UsageError(
             f"SASV_LOG must be one of error, info, debug; got {name!r}"
         )
-    logging.basicConfig(
-        stream=sys.stderr, level=logging.DEBUG, format="%(levelname)s %(name)s: %(message)s"
-    )
+    # one handler on the package logger, not the root: a host's own root
+    # handlers neither swallow these lines nor gain one per call
+    for handler in list(_LOG.handlers):
+        _LOG.removeHandler(handler)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    _LOG.addHandler(handler)
+    _LOG.propagate = False
     _LOG.setLevel(_LOG_LEVELS[name])
 
 
@@ -337,6 +342,11 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
     trials = _load_trials(settings, "evaluate")
     _LOG.info("evaluate: scoring %d trials with %s", len(trials), kind)
     scored = score_trials(system, trials, asv_store, cm_store)
+    if scored.cm_fallbacks:
+        _LOG.info(
+            "evaluate: %d enrollment(s) have no CM embedding; scored with the CM store mean",
+            scored.cm_fallbacks,
+        )
     write_score_file(scored, out / "scores.txt")
     report = evaluate_system(scored, bins=bins)
     write_report(report, out)

@@ -67,8 +67,10 @@ class TrialRecord:
 class EmbeddingStore:
     """Mapping from utterance id to a fixed-dimension embedding vector.
 
-    Vectors are held as float64 but rounded through float32 on insertion,
-    matching the precision of the binary file format.
+    The vectors are the rows of one contiguous float64 matrix, found through
+    an id -> row dict, so gathering any set of ids is one fancy index. They
+    are rounded through float32 on insertion, matching the precision of the
+    binary file format.
     """
 
     def __init__(self, dim: int, kind: str):
@@ -78,12 +80,37 @@ class EmbeddingStore:
             raise ValueError(f"kind must be one of {STORE_KINDS}, got {kind!r}")
         self.dim = int(dim)
         self.kind = kind
-        self._entries: dict[str, np.ndarray] = {}
+        self._rows: dict[str, int] = {}
+        self._matrix = np.empty((0, self.dim))  # rows past len(self) are spare capacity
+
+    @classmethod
+    def _from_matrix(cls, kind: str, utterance_ids: list, matrix: np.ndarray) -> "EmbeddingStore":
+        """A store whose row i is ``matrix[i]`` under ``utterance_ids[i]``.
+
+        Applies the checks of ``add`` to all rows at once and reports the
+        first offending row of each kind.
+        """
+        store = cls(matrix.shape[1], kind)
+        if "" in utterance_ids:
+            raise ValueError("utterance id must be non-empty")
+        store._rows = dict(zip(utterance_ids, range(len(utterance_ids))))
+        if len(store._rows) != len(utterance_ids):
+            seen = set()
+            for utterance_id in utterance_ids:
+                if utterance_id in seen:
+                    raise ValueError(f"duplicate utterance id {utterance_id!r}")
+                seen.add(utterance_id)
+        finite = np.isfinite(matrix)
+        if not finite.all():
+            first = utterance_ids[int(np.argmin(finite.all(axis=1)))]
+            raise ValueError(f"vector for {first!r} contains non-finite values")
+        store._matrix = matrix.astype(np.float32, copy=False).astype(np.float64)
+        return store
 
     def add(self, utterance_id: str, vector) -> None:
         if not utterance_id:
             raise ValueError("utterance id must be non-empty")
-        if utterance_id in self._entries:
+        if utterance_id in self._rows:
             raise ValueError(f"duplicate utterance id {utterance_id!r}")
         arr = np.asarray(vector, dtype=np.float64)
         if arr.shape != (self.dim,):
@@ -92,44 +119,58 @@ class EmbeddingStore:
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"vector for {utterance_id!r} contains non-finite values")
-        self._entries[utterance_id] = arr.astype(np.float32).astype(np.float64)
+        row = len(self._rows)
+        if row == len(self._matrix):
+            grown = np.empty((max(16, 2 * row), self.dim))
+            grown[:row] = self._matrix[:row]
+            self._matrix = grown
+        self._matrix[row] = arr.astype(np.float32)
+        self._rows[utterance_id] = row
+
+    def _vectors(self) -> np.ndarray:
+        """Read-only view of the stored rows, in insertion order."""
+        view = self._matrix[: len(self._rows)]
+        view.flags.writeable = False
+        return view
 
     def get(self, utterance_id: str) -> np.ndarray:
         try:
-            return self._entries[utterance_id]
+            row = self._rows[utterance_id]
         except KeyError:
             raise KeyError(f"utterance {utterance_id!r} not in {self.kind} store") from None
+        return self._vectors()[row]
 
     def __contains__(self, utterance_id: str) -> bool:
-        return utterance_id in self._entries
+        return utterance_id in self._rows
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
 
     def ids(self) -> list:
-        return list(self._entries.keys())
+        return list(self._rows)
 
-    def items(self):
-        return self._entries.items()
+    def items(self) -> list:
+        return list(zip(self._rows, self._vectors()))
 
     def matrix(self, utterance_ids) -> np.ndarray:
-        """Stack vectors for the given ids; reports all missing ids at once."""
-        missing = [u for u in utterance_ids if u not in self._entries]
-        if missing:
+        """Rows for the given ids, in order; reports all missing ids at once."""
+        rows = self._rows
+        try:
+            index = [rows[u] for u in utterance_ids]
+        except KeyError:
+            missing = [u for u in utterance_ids if u not in rows]
             raise KeyError(
                 f"{len(missing)} utterance(s) missing from {self.kind} store: "
                 + ", ".join(sorted(missing)[:10])
                 + ("..." if len(missing) > 10 else "")
-            )
-        if not utterance_ids:
-            return np.empty((0, self.dim))
-        return np.stack([self._entries[u] for u in utterance_ids])
+            ) from None
+        return self._matrix[np.array(index, dtype=np.intp)]
 
     def mean_vector(self) -> np.ndarray:
         """Store-wide mean, used as the zero-information stand-in vector."""
-        if not self._entries:
+        if not self._rows:
             raise ValueError(f"{self.kind} store is empty")
-        return np.mean(np.stack(list(self._entries.values())), axis=0)
+        return np.mean(self._vectors(), axis=0)
 
 
 def enrollment_embedding(store: EmbeddingStore, utterance_ids) -> np.ndarray:
@@ -140,19 +181,27 @@ def enrollment_embedding(store: EmbeddingStore, utterance_ids) -> np.ndarray:
     return store.matrix(ids).mean(axis=0)
 
 
+_WRITE_BLOCK = 4096  # records per write: bounds the temporary buffers
+
+
 def write_embedding_store(store: EmbeddingStore, path, fmt: str = "binary") -> None:
     path = Path(path)
     if fmt == "binary":
+        ids = store.ids()
+        rows = store._vectors()
+        vec_bytes = 4 * store.dim
         with open(path, "wb") as fh:
-            fh.write(STORE_MAGIC)
-            fh.write(struct.pack("<II", store.dim, len(store)))
-            for utt_id, vec in store.items():
-                encoded = utt_id.encode("utf-8")
-                if len(encoded) > 0xFFFF:
-                    raise ValueError(f"utterance id too long: {utt_id!r}")
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-                fh.write(vec.astype("<f4").tobytes())
+            fh.write(STORE_MAGIC + struct.pack("<II", store.dim, len(store)))
+            for start in range(0, len(ids), _WRITE_BLOCK):
+                vectors = memoryview(rows[start : start + _WRITE_BLOCK].astype("<f4").tobytes())
+                parts = []
+                for row, utt_id in enumerate(ids[start : start + _WRITE_BLOCK]):
+                    encoded = utt_id.encode("utf-8")
+                    if len(encoded) > 0xFFFF:
+                        raise ValueError(f"utterance id too long: {utt_id!r}")
+                    parts += (len(encoded).to_bytes(2, "little"), encoded,
+                              vectors[row * vec_bytes : (row + 1) * vec_bytes])
+                fh.write(b"".join(parts))
     elif fmt == "tsv":
         with open(path, "w", encoding="utf-8") as fh:
             for utt_id, vec in store.items():
@@ -169,23 +218,39 @@ def _load_binary_store(raw: bytes, kind: str) -> EmbeddingStore:
         raise ValueError("truncated store header")
     dim, count = struct.unpack_from("<II", raw, offset)
     offset += 8
-    store = EmbeddingStore(dim, kind)
+    empty = EmbeddingStore(dim, kind)  # rejects a zero dimension
     vec_bytes = 4 * dim
+    # every record takes at least its length field and its vector: a count
+    # the file cannot hold is rejected before anything is allocated for it
+    if count * (2 + vec_bytes) > len(raw) - offset:
+        raise ValueError(
+            f"truncated store: header declares {count} records of dimension {dim}, "
+            f"but only {len(raw) - offset} bytes follow"
+        )
+    ids = []
+    starts = []  # byte offset of each record's vector
     for i in range(count):
         if len(raw) < offset + 2:
             raise ValueError(f"truncated store: record {i} header missing")
-        (id_len,) = struct.unpack_from("<H", raw, offset)
-        offset += 2
-        if len(raw) < offset + id_len + vec_bytes:
+        id_end = offset + 2 + (raw[offset] | raw[offset + 1] << 8)
+        if len(raw) < id_end + vec_bytes:
             raise ValueError(f"truncated store: record {i} incomplete")
-        utt_id = raw[offset : offset + id_len].decode("utf-8")
-        offset += id_len
-        vec = np.frombuffer(raw, dtype="<f4", count=dim, offset=offset).astype(np.float64)
-        offset += vec_bytes
-        store.add(utt_id, vec)
+        try:
+            ids.append(raw[offset + 2 : id_end].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise ValueError(f"store record {i}: utterance id is not UTF-8") from None
+        starts.append(id_end)
+        offset = id_end + vec_bytes
     if offset != len(raw):
         raise ValueError("trailing bytes after last store record")
-    return store
+    if not count:
+        return empty
+    # one gather: row r of the window view is the vec_bytes bytes from offset r
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.frombuffer(raw, dtype=np.uint8), vec_bytes
+    )
+    vectors = windows[np.array(starts, dtype=np.intp)].view("<f4")
+    return EmbeddingStore._from_matrix(kind, ids, vectors)
 
 
 def _load_tsv_store(text: str, kind: str) -> EmbeddingStore:

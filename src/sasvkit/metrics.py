@@ -71,33 +71,51 @@ def compute_eer(positive_scores, negative_scores) -> tuple:
     return float(eer), float(threshold)
 
 
-def subset_trials(scored_trials, metric: str) -> tuple:
-    """Split scored trials into the positive and negative side of a metric."""
+def _label_codes(scored_trials) -> np.ndarray:
+    """Index into TRIAL_LABELS of each trial's label."""
+    code = {label: i for i, label in enumerate(TRIAL_LABELS)}
+    return np.fromiter((code[s.label] for s in scored_trials), dtype=np.int8,
+                       count=len(scored_trials))
+
+
+def _metric_masks(codes: np.ndarray, metric: str) -> tuple:
+    """Boolean masks of the positive and the negative side of a metric."""
     if metric not in _METRIC_SIDES:
         raise ValueError(f"metric must be one of {METRIC_NAMES}, got {metric!r}")
     pos_label, neg_labels = _METRIC_SIDES[metric]
-    positives = [s for s in scored_trials if s.label == pos_label]
-    negatives = [s for s in scored_trials if s.label in neg_labels]
+    negatives = np.isin(codes, [TRIAL_LABELS.index(label) for label in neg_labels])
+    return codes == TRIAL_LABELS.index(pos_label), negatives
+
+
+def subset_trials(scored_trials, metric: str) -> tuple:
+    """Split scored trials into the positive and negative side of a metric."""
+    scored_trials = list(scored_trials)
+    pos, neg = _metric_masks(_label_codes(scored_trials), metric)
+    positives = [s for s, keep in zip(scored_trials, pos) if keep]
+    negatives = [s for s, keep in zip(scored_trials, neg) if keep]
     return positives, negatives
 
 
-def score_histogram(scored_trials, bins: int = 30) -> tuple:
-    """Per-label score counts over shared bin edges spanning all scores."""
+def _histogram(scores: np.ndarray, codes: np.ndarray, bins: int) -> tuple:
     if bins < 1:
         raise ValueError("bins must be at least 1")
-    scored_trials = list(scored_trials)
-    if not scored_trials:
+    if not scores.size:
         raise ValueError("no trials to histogram")
-    scores = np.array([s.score for s in scored_trials])
     lo, hi = float(scores.min()), float(scores.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     edges = np.linspace(lo, hi, bins + 1)
     counts = {}
-    for label in TRIAL_LABELS:
-        label_scores = scores[[s.label == label for s in scored_trials]]
-        counts[label], _ = np.histogram(label_scores, bins=edges)
+    for i, label in enumerate(TRIAL_LABELS):
+        counts[label], _ = np.histogram(scores[codes == i], bins=edges)
     return edges, counts
+
+
+def score_histogram(scored_trials, bins: int = 30) -> tuple:
+    """Per-label score counts over shared bin edges spanning all scores."""
+    scored_trials = list(scored_trials)
+    scores = np.array([s.score for s in scored_trials], dtype=np.float64)
+    return _histogram(scores, _label_codes(scored_trials), bins)
 
 
 @dataclass
@@ -118,27 +136,27 @@ def evaluate_system(scored_trials, bins: int = 30) -> EvalReport:
     scored_trials = list(scored_trials)
     if not scored_trials:
         raise ValueError("no scored trials to evaluate")
+    scores = np.array([s.score for s in scored_trials], dtype=np.float64)
+    codes = _label_codes(scored_trials)
     eer_percent = {}
     threshold = {}
     n_positive = {}
     n_negative = {}
     for metric in METRIC_NAMES:
-        positives, negatives = subset_trials(scored_trials, metric)
-        n_positive[metric] = len(positives)
-        n_negative[metric] = len(negatives)
-        if positives and negatives:
-            eer, thr = compute_eer(
-                [s.score for s in positives], [s.score for s in negatives]
-            )
+        pos, neg = _metric_masks(codes, metric)
+        n_positive[metric] = int(pos.sum())
+        n_negative[metric] = int(neg.sum())
+        if n_positive[metric] and n_negative[metric]:
+            eer, thr = compute_eer(scores[pos], scores[neg])
             eer_percent[metric] = 100.0 * eer
             threshold[metric] = thr
         else:
             eer_percent[metric] = None
             threshold[metric] = None
     label_counts = {
-        label: sum(1 for s in scored_trials if s.label == label) for label in TRIAL_LABELS
+        label: int(np.count_nonzero(codes == i)) for i, label in enumerate(TRIAL_LABELS)
     }
-    edges, counts = score_histogram(scored_trials, bins=bins)
+    edges, counts = _histogram(scores, codes, bins)
     return EvalReport(
         eer_percent=eer_percent,
         threshold=threshold,

@@ -144,12 +144,28 @@ def _baseline2_spec(in_dim: int) -> MlpSpec:
     )
 
 
-def _row_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+_COSINE_BLOCK = 4096  # pairs per block: the gathered rows stay in cache
+
+
+def _pair_cosine(a: np.ndarray, b: np.ndarray, e: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Cosine of row ``a[e[i]]`` with row ``b[k[i]]`` for each i.
+
+    Each row's norm is taken once, however many pairs use it.
+    """
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
     if np.any(na == 0.0) or np.any(nb == 0.0):
         raise ValueError("cosine similarity of a zero vector is undefined")
-    return (a * b).sum(axis=1) / (na * nb)
+    dots = np.empty(len(e))
+    for start in range(0, len(e), _COSINE_BLOCK):
+        block = slice(start, start + _COSINE_BLOCK)
+        dots[block] = (a[e[block]] * b[k[block]]).sum(axis=1)
+    return dots / (na[e] * nb[k])
+
+
+def _row_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    rows = np.arange(len(a))
+    return _pair_cosine(a, b, rows, rows)
 
 
 def _unit_rows(a: np.ndarray) -> np.ndarray:
@@ -170,6 +186,22 @@ def _row_cce(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     m = logits.max(axis=1, keepdims=True)
     lse = (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))).ravel()
     return lse - (logits * targets).sum(axis=1)
+
+
+class TrialTables(NamedTuple):
+    """Embeddings of a batch of trials, one table row per distinct item.
+
+    Trial ``i`` pairs enrollment row ``enroll_index[i]`` with test row
+    ``test_index[i]``, so a network applied to the tables runs once per
+    distinct enrollment or test utterance, however many trials share it.
+    """
+
+    enroll_asv: np.ndarray
+    enroll_cm: np.ndarray
+    test_asv: np.ndarray
+    test_cm: np.ndarray
+    enroll_index: np.ndarray
+    test_index: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +226,9 @@ class MsfmModel:
             + self.fusion_head.params.tensors()
         )
 
-    def score_batch(self, enroll_asv, enroll_cm, test_asv, test_cm) -> np.ndarray:
-        """Fused target probability for rows of trial embeddings."""
-        _, _, v, _ = _msfm_pass(self, enroll_asv, enroll_cm, test_asv, test_cm)
+    def score_batch(self, tables: TrialTables) -> np.ndarray:
+        """Fused target probability of each trial."""
+        _, _, v, _ = _msfm_pass(self, tables)
         return softmax(v)[:, 1]
 
 
@@ -220,15 +252,22 @@ def make_msfm(
     )
 
 
-def _msfm_pass(model: MsfmModel, enroll_asv, enroll_cm, test_asv, test_cm):
-    """Speaker-match logits, their softmax, fusion logits, and the four tapes."""
-    enroll_in = np.column_stack([_unit_rows(enroll_asv), _unit_rows(enroll_cm)])
-    test_in = np.column_stack([_unit_rows(test_asv), _unit_rows(test_cm)])
+def _msfm_pass(model: MsfmModel, t: TrialTables):
+    """Speaker-match logits, their softmax, fusion logits, and the four tapes.
+
+    The encoders see the table rows; the heads see one row per trial.
+    """
+    e, k = t.enroll_index, t.test_index
+    enroll_in = np.column_stack([_unit_rows(t.enroll_asv), _unit_rows(t.enroll_cm)])
+    test_in = np.column_stack([_unit_rows(t.test_asv), _unit_rows(t.test_cm)])
     enc_e, tape_e = model.enroll_encoder.forward(enroll_in)
     enc_t, tape_t = model.test_encoder.forward(test_in)
-    s, tape_s = model.verification_head.forward(np.column_stack([enc_e, enc_t]))
+    s, tape_s = model.verification_head.forward(np.column_stack([enc_e[e], enc_t[k]]))
     p_s = softmax(s)
-    columns = [_row_cosine(enroll_asv, test_asv), _row_cosine(enroll_cm, test_cm)]
+    columns = [
+        _pair_cosine(t.enroll_asv, t.test_asv, e, k),
+        _pair_cosine(t.enroll_cm, t.test_cm, e, k),
+    ]
     if model.use_sssv_score:
         columns.append(p_s[:, 1])
     v, tape_v = model.fusion_head.forward(np.column_stack(columns))
@@ -256,8 +295,10 @@ def msfm_batch_losses(model: MsfmModel, batch: PairBatch,
     if loss not in ("sssv", "sf", "total"):
         raise ValueError(f"unknown loss selector {loss!r}")
     n = batch.enroll_asv.shape[0]
+    rows = np.arange(n)  # one enrollment and one test row per pair
     s, p_s, v, (tape_e, tape_t, tape_s, tape_v) = _msfm_pass(
-        model, batch.enroll_asv, batch.enroll_cm, batch.test_asv, batch.test_cm
+        model,
+        TrialTables(batch.enroll_asv, batch.enroll_cm, batch.test_asv, batch.test_cm, rows, rows),
     )
     l_sssv = float(_row_cce(s, batch.sv_target).mean())
     l_sf = float(_row_cce(v, batch.sasv_target).mean())
@@ -399,10 +440,10 @@ class IepModel:
     def tensors(self) -> list:
         return self.trunk.params.tensors() + self.projector.params.tensors()
 
-    def score_batch(self, enroll_asv, enroll_cm, test_asv, test_cm) -> np.ndarray:
-        z_enroll = iep_project(self, enroll_asv, enroll_cm)
-        z_test = iep_project(self, test_asv, test_cm)
-        return _row_cosine(z_enroll, z_test)
+    def score_batch(self, t: TrialTables) -> np.ndarray:
+        z_enroll = iep_project(self, t.enroll_asv, t.enroll_cm)
+        z_test = iep_project(self, t.test_asv, t.test_cm)
+        return _pair_cosine(z_enroll, z_test, t.enroll_index, t.test_index)
 
 
 def make_iep(
@@ -423,20 +464,17 @@ def make_iep(
     )
 
 
-def iep_project(model: IepModel, asv_vec, cm_vec) -> np.ndarray:
-    """Project one utterance (or rows of them) into the scoring space.
+def iep_project(model: IepModel, asv_rows: np.ndarray, cm_rows: np.ndarray) -> np.ndarray:
+    """Project rows of utterances into the scoring space.
 
     The projector head sees the trunk features next to the raw embeddings,
     so the output keeps a direct linear path from its inputs.
     """
-    x = np.asarray(asv_vec, dtype=np.float64)
-    y = np.asarray(cm_vec, dtype=np.float64)
-    single = x.ndim == 1
-    x2 = _unit_rows(np.atleast_2d(x))
-    y2 = _unit_rows(np.atleast_2d(y))
-    h, _ = model.trunk.forward(np.column_stack([x2, y2]))
-    z, _ = model.projector.forward(np.column_stack([h, x2, y2]))
-    return z[0] if single else z
+    x = _unit_rows(asv_rows)
+    y = _unit_rows(cm_rows)
+    h, _ = model.trunk.forward(np.column_stack([x, y]))
+    z, _ = model.projector.forward(np.column_stack([h, x, y]))
+    return z
 
 
 def triplet_loss(anchors, positives, negatives, margin: float) -> float:
@@ -533,11 +571,13 @@ class Baseline2Model:
     def tensors(self) -> list:
         return self.mlp.params.tensors()
 
-    def score_batch(self, enroll_asv, enroll_cm, test_asv, test_cm) -> np.ndarray:
+    def score_batch(self, t: TrialTables) -> np.ndarray:
         # the enrollment CM embedding is not part of this system's input
+        e, k = t.enroll_index, t.test_index
         v, _ = self.mlp.forward(
             np.column_stack(
-                [_unit_rows(enroll_asv), _unit_rows(test_asv), _unit_rows(test_cm)]
+                [_unit_rows(t.enroll_asv[e]), _unit_rows(t.test_asv[k]),
+                 _unit_rows(t.test_cm[k])]
             )
         )
         return softmax(v)[:, 1]
@@ -587,55 +627,74 @@ def train_baseline2(records, asv_store: EmbeddingStore, cm_store: EmbeddingStore
 # trial scoring
 
 
-def _trial_arrays(trials, asv_store: EmbeddingStore, cm_store: EmbeddingStore):
-    """Resolve embeddings for a trial list.
+def _trial_arrays(trials, asv_store: EmbeddingStore, cm_store: EmbeddingStore) -> tuple:
+    """Resolve a trial list into TrialTables; also count the CM fallbacks.
 
-    Test utterances must exist in both stores; all gaps are reported in one
-    error. An enrollment utterance absent from the CM store falls back to the
-    store-wide mean, since enrollment audio often ships without CM output.
+    Each distinct enrollment (speaker and utterance list) and each distinct
+    test utterance gets one table row. Test utterances must exist in both
+    stores; all gaps are reported in one error. An enrollment none of whose
+    utterances is in the CM store falls back to the CM store-wide mean, since
+    enrollment audio often ships without CM output; the second return value
+    counts the enrollments that did.
     """
-    missing = []
-    for trial in trials:
-        for utt in trial.enroll_utterance_ids:
-            if utt not in asv_store:
-                missing.append(f"{utt} (asv)")
-        if trial.test_utterance_id not in asv_store:
-            missing.append(f"{trial.test_utterance_id} (asv)")
-        if trial.test_utterance_id not in cm_store:
-            missing.append(f"{trial.test_utterance_id} (cm)")
+    enroll_rows: dict = {}
+    test_rows: dict = {}
+    n = len(trials)
+    enroll_index = np.fromiter(
+        (enroll_rows.setdefault((t.enroll_speaker_id, t.enroll_utterance_ids), len(enroll_rows))
+         for t in trials), dtype=np.intp, count=n,
+    )
+    test_index = np.fromiter(
+        (test_rows.setdefault(t.test_utterance_id, len(test_rows)) for t in trials),
+        dtype=np.intp, count=n,
+    )
+    enroll_utts = {u for _, ids in enroll_rows for u in ids}
+    missing = {f"{u} (asv)" for u in enroll_utts | test_rows.keys() if u not in asv_store}
+    missing |= {f"{u} (cm)" for u in test_rows if u not in cm_store}
     if missing:
-        unique = sorted(set(missing))
+        unique = sorted(missing)
         raise KeyError(
             f"{len(unique)} embedding(s) missing: " + ", ".join(unique[:20])
             + ("..." if len(unique) > 20 else "")
         )
-    enroll_asv_cache = {}
-    enroll_cm_cache = {}
-    cm_fallback = None
-    for trial in trials:
-        key = (trial.enroll_speaker_id, trial.enroll_utterance_ids)
-        if key in enroll_asv_cache:
-            continue
-        enroll_asv_cache[key] = enrollment_embedding(asv_store, trial.enroll_utterance_ids)
-        present = [u for u in trial.enroll_utterance_ids if u in cm_store]
+    enroll_asv = []
+    enroll_cm = []
+    fallbacks = 0
+    cm_mean = None
+    for _, ids in enroll_rows:
+        enroll_asv.append(enrollment_embedding(asv_store, ids))
+        present = [u for u in ids if u in cm_store]
         if present:
-            enroll_cm_cache[key] = enrollment_embedding(cm_store, present)
+            enroll_cm.append(enrollment_embedding(cm_store, present))
         else:
-            if cm_fallback is None:
-                cm_fallback = cm_store.mean_vector()
-            enroll_cm_cache[key] = cm_fallback
-    keys = [(t.enroll_speaker_id, t.enroll_utterance_ids) for t in trials]
-    test_ids = [t.test_utterance_id for t in trials]
-    return (
-        np.stack([enroll_asv_cache[k] for k in keys]),
-        np.stack([enroll_cm_cache[k] for k in keys]),
-        asv_store.matrix(test_ids),
-        cm_store.matrix(test_ids),
+            fallbacks += 1
+            if cm_mean is None:
+                cm_mean = cm_store.mean_vector()
+            enroll_cm.append(cm_mean)
+    test_ids = list(test_rows)
+    tables = TrialTables(
+        enroll_asv=np.stack(enroll_asv),
+        enroll_cm=np.stack(enroll_cm),
+        test_asv=asv_store.matrix(test_ids),
+        test_cm=cm_store.matrix(test_ids),
+        enroll_index=enroll_index,
+        test_index=test_index,
     )
+    return tables, fallbacks
+
+
+class ScoredTrials(list):
+    """ScoredTrial objects in trial-list order, with what resolving them took.
+
+    ``cm_fallbacks`` counts the distinct enrollments scored with the CM
+    store-wide mean because none of their utterances has a CM embedding.
+    """
+
+    cm_fallbacks = 0
 
 
 def score_trials(system, trials, asv_store: EmbeddingStore,
-                 cm_store: EmbeddingStore) -> list:
+                 cm_store: EmbeddingStore) -> ScoredTrials:
     """Score every trial; returns ScoredTrial objects in trial-list order.
 
     ``system`` is a trained model, or one of the strings "baseline1" and
@@ -643,19 +702,22 @@ def score_trials(system, trials, asv_store: EmbeddingStore,
     """
     trials = list(trials)
     if not trials:
-        return []
+        return ScoredTrials()
     if system not in ("baseline1", "asv-only") and not hasattr(system, "score_batch"):
         raise ValueError(f"unknown scoring system {system!r}")
     if hasattr(system, "asv_dim"):
         _check_dims(asv_store, cm_store, system.asv_dim, system.cm_dim)
-    e_asv, e_cm, t_asv, t_cm = _trial_arrays(trials, asv_store, cm_store)
+    t, fallbacks = _trial_arrays(trials, asv_store, cm_store)
     if isinstance(system, str):
-        scores = _row_cosine(e_asv, t_asv)
+        e, k = t.enroll_index, t.test_index
+        scores = _pair_cosine(t.enroll_asv, t.test_asv, e, k)
         if system == "baseline1":
-            scores = scores + _row_cosine(e_cm, t_cm)
+            scores = scores + _pair_cosine(t.enroll_cm, t.test_cm, e, k)
     else:
-        scores = system.score_batch(e_asv, e_cm, t_asv, t_cm)
-    return [ScoredTrial(trial, float(s)) for trial, s in zip(trials, scores)]
+        scores = system.score_batch(t)
+    scored = ScoredTrials(ScoredTrial(trial, float(s)) for trial, s in zip(trials, scores))
+    scored.cm_fallbacks = fallbacks
+    return scored
 
 
 # ---------------------------------------------------------------------------

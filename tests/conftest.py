@@ -19,8 +19,5 @@ def _run_cli(*args) -> subprocess.CompletedProcess:
 
 @pytest.fixture
 def run_cli():
-    """Run the CLI in a fresh interpreter, so its stderr is the real one.
-
-    In-process, ``cli.main`` logs through pytest's handlers, not stderr.
-    """
+    """Run the CLI in a fresh interpreter and capture its exit code and output."""
     return _run_cli

@@ -1,11 +1,11 @@
-import logging
-
 import pytest
 from sasvkit.cli import main, parse_kv_text, parse_score_file, UsageError
 from sasvkit.data import (
+    EmbeddingStore,
     load_embedding_store,
     parse_enrollment_map,
     parse_trial_list,
+    write_embedding_store,
 )
 from sasvkit.models import make_iep, save_model
 
@@ -33,6 +33,13 @@ FAST_TRAIN = [
     "--set", "samples_per_epoch=200",
     "--set", "batch_size=32",
 ]
+
+
+def error_line(capfd) -> str:
+    """The one ERROR line a failed in-process command wrote to stderr."""
+    (line,) = [l for l in capfd.readouterr().err.splitlines() if l.startswith("ERROR ")]
+    assert line.startswith("ERROR sasvkit: "), line
+    return line
 
 
 @pytest.fixture(scope="module")
@@ -200,14 +207,50 @@ class TestEvaluate:
         args = evaluate_args(corpus, tmp_path / "x", model="msfm", checkpoint=ckpt)
         assert main(args) == 2
 
-    def test_missing_utterance_lists_ids(self, corpus, tmp_path, caplog):
+    def test_missing_utterance_lists_ids(self, corpus, tmp_path, capfd):
         trials = tmp_path / "trials.txt"
         trials.write_text("S0000 ghost-a target\nS0000 ghost-b spoof\n")
         args = evaluate_args(corpus, tmp_path / "x", trials=trials)
-        with caplog.at_level(logging.ERROR, logger="sasvkit"):
-            assert main(args) == 1
-        message = caplog.records[-1].getMessage()
+        assert main(args) == 1
+        message = error_line(capfd)
         assert "ghost-a" in message and "ghost-b" in message
+
+    def test_malformed_checkpoint_logs_one_error_line(self, corpus, tmp_path, capfd):
+        # in-process: the package logger writes to stderr whatever the root logger holds
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(b"SASVMDL1\x01")
+        args = evaluate_args(corpus, tmp_path / "x", model="msfm", checkpoint=ckpt)
+        capfd.readouterr()
+        assert main(args) == 1
+        lines = capfd.readouterr().err.splitlines()
+        assert lines == ["ERROR sasvkit: truncated checkpoint header"]
+
+    def test_cm_fallbacks_are_logged_not_written(self, corpus, tmp_path, capfd):
+        enrollment = parse_enrollment_map((corpus / "enrollment.txt").read_text())
+        cm = load_embedding_store(corpus / "cm.emb", "cm")
+        partial = EmbeddingStore(cm.dim, "cm")
+        for utt, vec in cm.items():
+            if utt not in enrollment["S0000"]:
+                partial.add(utt, vec)
+        write_embedding_store(partial, tmp_path / "cm.emb")
+        capfd.readouterr()
+        assert main(evaluate_args(corpus, tmp_path / "full")) == 0
+        assert "CM embedding" not in capfd.readouterr().err
+        args = evaluate_args(corpus, tmp_path / "eval")
+        args[args.index("--cm-store") + 1] = str(tmp_path / "cm.emb")
+        assert main(args) == 0
+        err = capfd.readouterr().err
+        assert "INFO sasvkit: evaluate: 1 enrollment(s) have no CM embedding" in err
+        report = [
+            "report", "--scores", str(tmp_path / "eval" / "scores.txt"),
+            "--trials", str(corpus / "trials_eval.txt"),
+            "--enrollment", str(corpus / "enrollment.txt"), "--out", str(tmp_path / "report"),
+        ]
+        assert main(report) == 0
+        assert "CM embedding" not in capfd.readouterr().err
+        for name in ("report.txt", "report.csv", "histogram.csv"):
+            assert (tmp_path / "report" / name).read_bytes() == (
+                tmp_path / "eval" / name).read_bytes(), name
 
 
 class TestAbsentMetric:
@@ -252,35 +295,29 @@ class TestReport:
         for name in ("report.txt", "report.csv", "histogram.csv"):
             assert (out / name).read_bytes() == (evaluated / name).read_bytes(), name
 
-    def test_coverage_gap_is_an_error(self, corpus, evaluated, tmp_path, caplog):
+    def test_coverage_gap_is_an_error(self, corpus, evaluated, tmp_path, capfd):
         clipped = tmp_path / "clipped.txt"
         lines = (evaluated / "scores.txt").read_text().splitlines()
         clipped.write_text("\n".join(lines[1:]) + "\n")
-        with caplog.at_level(logging.ERROR, logger="sasvkit"):
-            code = main(self.report_args(corpus, clipped, tmp_path / "x"))
-        assert code == 1
-        assert "missing" in caplog.records[-1].getMessage()
+        assert main(self.report_args(corpus, clipped, tmp_path / "x")) == 1
+        assert "missing" in error_line(capfd)
 
-    def test_malformed_line_reports_its_number(self, corpus, evaluated, tmp_path, caplog):
+    def test_malformed_line_reports_its_number(self, corpus, evaluated, tmp_path, capfd):
         broken = tmp_path / "broken.txt"
         lines = (evaluated / "scores.txt").read_text().splitlines()
         lines[2] = "S0000 S0000_B007 not-a-number"
         broken.write_text("\n".join(lines) + "\n")
-        with caplog.at_level(logging.ERROR, logger="sasvkit"):
-            code = main(self.report_args(corpus, broken, tmp_path / "x"))
-        assert code == 1
-        assert "line 3" in caplog.records[-1].getMessage()
+        assert main(self.report_args(corpus, broken, tmp_path / "x")) == 1
+        assert "line 3" in error_line(capfd)
 
-    def test_conflicting_duplicate_is_an_error(self, corpus, evaluated, tmp_path, caplog):
+    def test_conflicting_duplicate_is_an_error(self, corpus, evaluated, tmp_path, capfd):
         doubled = tmp_path / "doubled.txt"
         lines = (evaluated / "scores.txt").read_text().splitlines()
         speaker, utterance, _ = lines[0].split()
         lines.append(f"{speaker} {utterance} 123.0")
         doubled.write_text("\n".join(lines) + "\n")
-        with caplog.at_level(logging.ERROR, logger="sasvkit"):
-            code = main(self.report_args(corpus, doubled, tmp_path / "x"))
-        assert code == 1
-        assert "conflicting" in caplog.records[-1].getMessage()
+        assert main(self.report_args(corpus, doubled, tmp_path / "x")) == 1
+        assert "conflicting" in error_line(capfd)
 
     def test_exact_duplicate_is_tolerated(self, corpus, evaluated, tmp_path):
         doubled = tmp_path / "doubled.txt"

@@ -1,8 +1,11 @@
 """Tests for embedding stores and protocol parsing."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sasvkit.data import (
@@ -174,6 +177,39 @@ class TestEmbeddingStore:
         with pytest.raises(ValueError):
             EmbeddingStore(4, "xvector")
 
+    def test_growth_past_initial_capacity(self, tmp_path):
+        # 40 rows outgrow the first two capacities; every accessor still
+        # agrees with a plain dict of float32-rounded vectors
+        rng = np.random.default_rng(5)
+        store = EmbeddingStore(3, "asv")
+        reference = {}
+        for i in range(40):
+            vector = rng.standard_normal(3)
+            store.add(f"U{i:02d}", vector)
+            reference[f"U{i:02d}"] = vector.astype(np.float32).astype(np.float64)
+        rows = np.stack(list(reference.values()))
+        assert len(store) == 40 and store.ids() == list(reference)
+        for utt_id, vec in reference.items():
+            np.testing.assert_array_equal(store.get(utt_id), vec)
+        assert [u for u, _ in store.items()] == list(reference)
+        for (_, got), vec in zip(store.items(), reference.values()):
+            np.testing.assert_array_equal(got, vec)
+        picks = ["U39", "U00", "U17", "U17"]
+        np.testing.assert_array_equal(store.matrix(picks), np.stack([reference[u] for u in picks]))
+        np.testing.assert_array_equal(store.mean_vector(), np.mean(rows, axis=0))
+        path = tmp_path / "grown.emb"
+        write_embedding_store(store, path)
+        loaded = load_embedding_store(path, "asv")
+        np.testing.assert_array_equal(loaded.matrix(loaded.ids()), rows)
+        assert loaded.ids() == list(reference)
+
+    def test_returned_rows_cannot_change_the_store(self):
+        store = make_store(n=3)
+        with pytest.raises(ValueError):
+            store.get("U000")[0] = 1.0
+        store.matrix(["U000"])[0, 0] = 1.0
+        assert store.get("U000")[0] != 1.0
+
 
 class TestStoreSerialization:
     def test_binary_round_trip_bit_exact(self, tmp_path):
@@ -250,6 +286,91 @@ class TestStoreSerialization:
         loaded = load_embedding_store(path, "asv")
         for utt_id, vec in store.items():
             np.testing.assert_array_equal(loaded.get(utt_id), vec)
+
+
+def binary_store_bytes(dim: int, records, count=None) -> bytes:
+    """A binary store with the given (id, vector) records; ``count`` overrides the header."""
+    out = [b"SASVEMB1", struct.pack("<II", dim, len(records) if count is None else count)]
+    for utt_id, vector in records:
+        encoded = utt_id.encode("utf-8")
+        out += [struct.pack("<H", len(encoded)), encoded, np.asarray(vector, "<f4").tobytes()]
+    return b"".join(out)
+
+
+GOOD_RECORDS = [("a", [1.0, 2.0]), ("bb", [3.0, 4.0]), ("c", [5.0, 6.0])]
+
+# (case, file bytes, expected message)
+MALFORMED_STORES = [
+    ("non-finite", binary_store_bytes(2, [("a", [1.0, 2.0]), ("b", [np.inf, 0.0])]),
+     "vector for 'b' contains non-finite values"),
+    ("duplicate-id", binary_store_bytes(2, GOOD_RECORDS + [("bb", [0.0, 1.0])]),
+     "duplicate utterance id 'bb'"),
+    ("empty-id", binary_store_bytes(2, [("a", [1.0, 2.0]), ("", [0.0, 1.0])]),
+     "utterance id must be non-empty"),
+    ("record-cut", binary_store_bytes(2, GOOD_RECORDS)[:-3],
+     "truncated store: record 2 incomplete"),
+    ("header-cut", binary_store_bytes(2, GOOD_RECORDS)[:12], "truncated store header"),
+    ("trailing", binary_store_bytes(2, GOOD_RECORDS) + b"xx",
+     "trailing bytes after last store record"),
+    ("huge-count", binary_store_bytes(2, GOOD_RECORDS, count=2**32 - 1),
+     "truncated store: header declares 4294967295 records"),
+    ("huge-dim", binary_store_bytes(2**32 - 1, [("a", [])], count=1),
+     "truncated store: header declares 1 records of dimension 4294967295"),
+    ("zero-dim", binary_store_bytes(0, []), "dimension must be positive"),
+    ("id-not-utf8", binary_store_bytes(2, GOOD_RECORDS).replace(b"bb", b"\xff\xfe"),
+     "store record 1: utterance id is not UTF-8"),
+]
+
+
+def fuzz_store() -> bytes:
+    return binary_store_bytes(3, [(f"u{i}", [i + 1.0, -0.5, 2.0 ** i]) for i in range(4)])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("store_fuzz")
+
+
+class TestBinaryStoreRobustness:
+    @pytest.mark.parametrize(
+        "raw, message", [case[1:] for case in MALFORMED_STORES],
+        ids=[case[0] for case in MALFORMED_STORES],
+    )
+    def test_malformed_store_message(self, tmp_path, raw, message):
+        path = tmp_path / "bad.emb"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_embedding_store(path, "asv")
+
+    def check_damaged(self, fuzz_dir, raw: bytes, run_cli) -> None:
+        """A damaged store loads or raises ValueError; evaluate fails with one line."""
+        path = fuzz_dir / "damaged.emb"
+        path.write_bytes(raw)
+        try:
+            load_embedding_store(path, "asv")
+            return
+        except ValueError:
+            pass
+        result = run_cli("evaluate", "--model", "baseline1", "--asv-store", path,
+                         "--cm-store", path, "--out", fuzz_dir / "eval")
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR sasvkit: "), result.stderr
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fraction=st.floats(0.0, 1.0, exclude_max=True))
+    def test_truncation_fuzz(self, fuzz_dir, run_cli, fraction):
+        raw = fuzz_store()
+        self.check_damaged(fuzz_dir, raw[: int(fraction * len(raw))], run_cli)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(position=st.floats(0.0, 1.0, exclude_max=True), bit=st.integers(0, 7))
+    def test_byte_flip_fuzz(self, fuzz_dir, run_cli, position, bit):
+        raw = bytearray(fuzz_store())
+        raw[int(position * len(raw))] ^= 1 << bit
+        self.check_damaged(fuzz_dir, bytes(raw), run_cli)
 
 
 class TestEnrollmentEmbedding:

@@ -1,5 +1,4 @@
 import json
-import logging
 import math
 from pathlib import Path
 
@@ -15,7 +14,10 @@ from sasvkit.models import (
     IepModel,
     MsfmModel,
     PairBatch,
+    SYSTEMS,
+    TrialTables,
     _msfm_pass,
+    _trial_arrays,
     baseline2_batch_loss,
     iep_batch_loss,
     iep_project,
@@ -65,6 +67,12 @@ def cosine(a, b) -> float:
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
+def one_to_one(enroll_asv, enroll_cm, test_asv, test_cm) -> TrialTables:
+    """Tables in which trial i pairs enrollment row i with test row i."""
+    rows = np.arange(len(test_asv))
+    return TrialTables(enroll_asv, enroll_cm, test_asv, test_cm, rows, rows)
+
+
 def asv_only_scores(enroll, tests) -> list:
     """asv-only scores of one enrollment vector against each test vector."""
     asv = EmbeddingStore(len(enroll), "asv")
@@ -99,7 +107,9 @@ class TestCosineScore:
         # enrollment and test rows of unequal width cannot be compared
         model = make_msfm(6, 5)
         with pytest.raises(ValueError):
-            model.score_batch(np.ones((1, 6)), np.ones((1, 5)), np.ones((1, 7)), np.ones((1, 5)))
+            model.score_batch(
+                one_to_one(np.ones((1, 6)), np.ones((1, 5)), np.ones((1, 7)), np.ones((1, 5)))
+            )
 
 
 class TestFactories:
@@ -153,7 +163,9 @@ class TestZeroWeightInvariants:
 
     def test_sssv_outputs_zero_logits(self):
         model = self.zeroed(make_msfm(6, 5))
-        s, *_ = _msfm_pass(model, np.ones((1, 6)), np.ones((1, 5)), np.ones((1, 6)), np.ones((1, 5)))
+        s, *_ = _msfm_pass(
+            model, one_to_one(np.ones((1, 6)), np.ones((1, 5)), np.ones((1, 6)), np.ones((1, 5)))
+        )
         assert np.array_equal(s, np.zeros((1, 2)))
 
     def test_total_loss_is_two_ln_two(self):
@@ -167,7 +179,7 @@ class TestZeroWeightInvariants:
 
     def test_baseline2_scores_half(self):
         model = self.zeroed(make_baseline2(6, 5))
-        scores = model.score_batch(np.ones((1, 6)), None, np.ones((1, 6)), np.ones((1, 5)))
+        scores = model.score_batch(one_to_one(np.ones((1, 6)), None, np.ones((1, 6)), np.ones((1, 5))))
         assert scores[0] == pytest.approx(0.5, abs=1e-12)
 
 
@@ -177,10 +189,10 @@ class TestMsfmForward:
         model = make_msfm(6, 5, rng=rng)
         e_asv, e_cm = rng.normal(size=(3, 6)), rng.normal(size=(3, 5))
         t_asv, t_cm = rng.normal(size=(3, 6)), rng.normal(size=(3, 5))
-        batch_scores = model.score_batch(e_asv, e_cm, t_asv, t_cm)
+        batch_scores = model.score_batch(one_to_one(e_asv, e_cm, t_asv, t_cm))
         for i in range(3):
             rows = slice(i, i + 1)
-            (score,) = model.score_batch(e_asv[rows], e_cm[rows], t_asv[rows], t_cm[rows])
+            (score,) = model.score_batch(one_to_one(e_asv[rows], e_cm[rows], t_asv[rows], t_cm[rows]))
             assert batch_scores[i] == pytest.approx(score, abs=1e-12)
 
 
@@ -217,8 +229,8 @@ class TestTripletLoss:
 class TestIepProject:
     def test_projection_length(self):
         model = make_iep(12, 10)
-        z = iep_project(model, np.ones(12), np.ones(10))
-        assert z.shape == (128,)
+        z = iep_project(model, np.ones((1, 12)), np.ones((1, 10)))
+        assert z.shape == (1, 128)
         zb = iep_project(model, np.ones((4, 12)), np.ones((4, 10)))
         assert zb.shape == (4, 128)
 
@@ -227,8 +239,8 @@ class TestIepProject:
         for tensor in model.trunk.params.tensors():
             tensor[...] = 0.0
         rng = np.random.default_rng(1)
-        x1, x2 = rng.normal(size=12), rng.normal(size=12)
-        y = rng.normal(size=10)
+        x1, x2 = rng.normal(size=(1, 12)), rng.normal(size=(1, 12))
+        y = rng.normal(size=(1, 10))
         z1 = iep_project(model, x1, y)
         z2 = iep_project(model, x2, y)
         assert not np.allclose(z1, z2)
@@ -236,7 +248,7 @@ class TestIepProject:
     def test_zero_embedding_rejected(self):
         model = make_iep(12, 10)
         with pytest.raises(ValueError, match="zero"):
-            iep_project(model, np.zeros(12), np.ones(10))
+            iep_project(model, np.zeros((1, 12)), np.ones((1, 10)))
 
 
 def random_pair_batch(rng, n, asv_dim, cm_dim):
@@ -496,6 +508,99 @@ class TestScoreTrials:
             assert report.eer_percent["sasv"] is not None
 
 
+def shared_item_trials():
+    """Stores and 150 trials among 45 enrollments and 50 test utterances.
+
+    Enrollments and test utterances repeat across trials, and speaker S00's
+    enrollment utterances have no CM embedding. Above 40 distinct rows per
+    table, every matrix product runs in the kernel it runs in for 150 rows.
+    """
+    rng = np.random.default_rng(12)
+    asv, cm = EmbeddingStore(6, "asv"), EmbeddingStore(5, "cm")
+    enrollment = {}
+    for s in range(45):
+        enrollment[f"S{s:02d}"] = (f"S{s:02d}_e0", f"S{s:02d}_e1")
+        for utt in enrollment[f"S{s:02d}"]:
+            asv.add(utt, rng.normal(size=6))
+            if s:
+                cm.add(utt, rng.normal(size=5))
+    for i in range(50):
+        asv.add(f"T{i:02d}", rng.normal(size=6))
+        cm.add(f"T{i:02d}", rng.normal(size=5))
+    speakers = [f"S{s:02d}" for s in range(45)] + [f"S{s:02d}" for s in rng.integers(0, 45, 105)]
+    tests = [f"T{i:02d}" for i in range(50)] * 3
+    labels = rng.choice(["target", "nontarget", "spoof"], 150)
+    trials = [TrialRecord(spk, enrollment[spk], test, label)
+              for spk, test, label in zip(speakers, tests, labels)]
+    return trials, asv, cm
+
+
+def row_cosine(a, b):
+    """Row-wise cosine with the arithmetic of one enrollment and test row per trial."""
+    return (a * b).sum(axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+
+
+def untrained(name):
+    if name in ("baseline1", "asv-only"):
+        return name
+    system = SYSTEMS[name]
+    factory = {MsfmModel: make_msfm, IepModel: make_iep, Baseline2Model: make_baseline2}
+    return factory[system.model_class](6, 5, rng=np.random.default_rng(3), **system.options)
+
+
+class TestGatherOnceScoring:
+    @pytest.mark.parametrize("name", [*SYSTEMS, "asv-only"])
+    def test_whole_list_matches_each_trial_alone(self, name):
+        trials, asv, cm = shared_item_trials()
+        system = untrained(name)
+        whole = np.array([s.score for s in score_trials(system, trials, asv, cm)])
+        alone = np.array([score_trials(system, [t], asv, cm)[0].score for t in trials])
+        if isinstance(system, str):
+            assert np.array_equal(whole, alone)
+        else:
+            # BLAS computes a one-row product with another kernel, which may
+            # round the last bit differently
+            np.testing.assert_allclose(whole, alone, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", [*SYSTEMS, "asv-only"])
+    def test_gathered_tables_score_like_one_row_per_trial(self, name):
+        # gather-once scoring reproduces, bit for bit, the arithmetic that
+        # gives each trial its own enrollment and test rows
+        trials, asv, cm = shared_item_trials()
+        system = untrained(name)
+        tables, _ = _trial_arrays(trials, asv, cm)
+        e, k = tables.enroll_index, tables.test_index
+        assert len(tables.enroll_asv) == 45 and len(tables.test_asv) == 50
+        per_trial = one_to_one(tables.enroll_asv[e], tables.enroll_cm[e],
+                               tables.test_asv[k], tables.test_cm[k])
+        if isinstance(system, str):
+            expected = row_cosine(per_trial.enroll_asv, per_trial.test_asv)
+            if system == "baseline1":
+                expected = expected + row_cosine(per_trial.enroll_cm, per_trial.test_cm)
+        else:
+            expected = system.score_batch(per_trial)
+        got = np.array([s.score for s in score_trials(system, trials, asv, cm)])
+        assert np.array_equal(got, expected)
+
+    def test_cm_fallbacks_are_counted_once_per_enrollment(self):
+        trials, asv, cm = shared_item_trials()
+        assert sum(t.enroll_speaker_id == "S00" for t in trials) > 1
+        scored = score_trials("baseline1", trials, asv, cm)
+        assert scored.cm_fallbacks == 1
+        assert score_trials("baseline1", trials[1:2], asv, cm).cm_fallbacks == 0
+
+    def test_all_gaps_are_listed_in_one_message(self):
+        asv, cm = tiny_stores()
+        trials = [
+            TrialRecord("spkA", ("e1", "lost"), "ghost", "target"),
+            TrialRecord("spkB", ("e2",), "t1", "spoof"),
+            TrialRecord("spkA", ("e1", "lost"), "ghost", "nontarget"),
+        ]
+        with pytest.raises(KeyError) as err:
+            score_trials("baseline1", trials, asv, cm)
+        assert err.value.args[0] == "3 embedding(s) missing: ghost (asv), ghost (cm), lost (asv)"
+
+
 def checkpoint_bytes(header, payload: bytes) -> bytes:
     text = json.dumps(header).encode("utf-8")
     return b"SASVMDL1" + len(text).to_bytes(4, "little") + text + payload
@@ -553,7 +658,7 @@ class TestCheckpoints:
         assert result.returncode == 1
         assert len(result.stderr.splitlines()) == 1, result.stderr
 
-    def check_damaged(self, fuzz_dir, raw: bytes, caplog) -> None:
+    def check_damaged(self, fuzz_dir, raw: bytes, capfd) -> None:
         """A damaged file loads or raises ValueError; through the CLI it fails cleanly."""
         path = fuzz_dir / "damaged.ckpt"
         path.write_bytes(raw)
@@ -562,29 +667,29 @@ class TestCheckpoints:
             return
         except ValueError:
             pass
-        caplog.clear()
+        capfd.readouterr()
         code = main(["evaluate", "--model", "msfm", "--checkpoint", str(path),
                      "--out", str(fuzz_dir / "eval")])
         assert code == 1
-        assert [r.levelno for r in caplog.records] == [logging.ERROR]
-        assert "\n" not in caplog.records[0].getMessage()
+        lines = capfd.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR sasvkit: "), lines
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(fraction=st.floats(0.0, 1.0, exclude_max=True))
-    def test_truncation_fuzz(self, fuzz_dir, caplog, fraction):
+    def test_truncation_fuzz(self, fuzz_dir, capfd, fraction):
         raw = valid_checkpoint(fuzz_dir / "valid.ckpt")
-        self.check_damaged(fuzz_dir, raw[: int(fraction * len(raw))], caplog)
+        self.check_damaged(fuzz_dir, raw[: int(fraction * len(raw))], capfd)
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(position=st.floats(0.0, 1.0, exclude_max=True), bit=st.integers(0, 7))
-    def test_byte_flip_fuzz(self, fuzz_dir, caplog, position, bit):
+    def test_byte_flip_fuzz(self, fuzz_dir, capfd, position, bit):
         # flips land in the magic, the length field or the JSON header
         raw = bytearray(valid_checkpoint(fuzz_dir / "valid.ckpt"))
         header_end = 12 + int.from_bytes(raw[8:12], "little")
         raw[int(position * header_end)] ^= 1 << bit
-        self.check_damaged(fuzz_dir, bytes(raw), caplog)
+        self.check_damaged(fuzz_dir, bytes(raw), capfd)
 
     def roundtrip(self, model, tmp_path, name):
         path = tmp_path / name
