@@ -874,6 +874,8 @@ def load_model(path):
             flat = np.frombuffer(raw, dtype="<f8", count=tensor.size, offset=offset)
             tensor[...] = flat.reshape(tensor.shape)
             offset += tensor.nbytes
+        if not all(np.isfinite(tensor).all() for tensor in params.tensors()):
+            raise ValueError(f"checkpoint block {name} holds non-finite parameters")
         blocks[name] = Mlp(spec, params)
     extra = {key: typ(header[key]) for key, typ in system.header.items()}
     return system.model_class(

@@ -305,6 +305,8 @@ class SynthConfig:
             raise ValueError("asv_channel_scale must be non-negative")
         if not (1 <= self.nontarget_neighbors < self.n_speakers):
             raise ValueError("nontarget_neighbors must lie in [1, n_speakers)")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass

@@ -404,6 +404,26 @@ class TestConfigPlumbing:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, setting, value",
+        [
+            ("synth", "seed", "-1"),
+            ("train", "learning_rate", "inf"),
+            ("train", "learning_rate", "nan"),
+            ("train", "epsilon", "inf"),
+            ("train", "seed", "-1"),
+        ],
+    )
+    def test_non_finite_or_negative_setting_is_one_line(
+        self, tmp_path, run_cli, command, setting, value
+    ):
+        model = ["--model", "msfm"] if command == "train" else []
+        result = run_cli(command, *model, "--out", tmp_path / "x",
+                         "--set", f"{setting}={value}")
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and setting in lines[0], result.stderr
+
     def test_bad_log_level_is_a_usage_error(self, monkeypatch, tmp_path):
         monkeypatch.setenv("SASV_LOG", "chatty")
         assert main(["synth", "--out", str(tmp_path / "x")]) == 2

@@ -615,6 +615,9 @@ def with_first_layer(header: dict, layer) -> dict:
     return dict(header, blocks=dict(header["blocks"], enroll_encoder=encoder))
 
 
+NAN = np.array([np.nan], dtype="<f8").tobytes()
+INF = np.array([np.inf], dtype="<f8").tobytes()
+
 # (case, file bytes from a valid header and payload, expected message)
 MALFORMED_CHECKPOINTS = [
     ("shorter-than-12-bytes", lambda h, p: b"SASVMDL1\x01", "truncated checkpoint header"),
@@ -625,6 +628,10 @@ MALFORMED_CHECKPOINTS = [
     ("short-layer", lambda h, p: checkpoint_bytes(with_first_layer(h, ["fc"]), p),
      "malformed layer"),
     ("dims-disagree", lambda h, p: checkpoint_bytes(dict(h, asv_dim=7), p), "do not fit"),
+    ("nan-in-first-block", lambda h, p: checkpoint_bytes(h, NAN + p[8:]),
+     "checkpoint block enroll_encoder holds non-finite parameters"),
+    ("inf-in-last-block", lambda h, p: checkpoint_bytes(h, p[:-8] + INF),
+     "checkpoint block fusion_head holds non-finite parameters"),
 ]
 
 

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sasvkit.neuralcore import (
+    _STEP_BLOCK,
     Elu,
     FullyConnected,
     MlpParams,
     MlpSpec,
+    NonFiniteError,
     OptimizerState,
     TrainConfig,
     cce_loss,
@@ -289,7 +291,93 @@ class TestBackward:
         np.testing.assert_allclose(dx, numeric, atol=1e-8)
 
 
+def _reference_step(params, grads, config, state) -> None:
+    """The unblocked SGD/Adam step: one whole-tensor expression per update.
+
+    ``state`` is a dict with ``step`` and the moment lists ``m`` and ``v``.
+    """
+    lr = config.learning_rate
+    state["step"] += 1
+    if config.optimizer == "sgd":
+        for p, g in zip(params, grads):
+            p -= lr * g
+        return
+    if not state["m"]:
+        state["m"] = [np.zeros_like(p) for p in params]
+        state["v"] = [np.zeros_like(p) for p in params]
+    t = state["step"]
+    b1, b2 = config.beta1, config.beta2
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + config.epsilon)
+
+
+# the big tensor spans two full blocks and a short one; it comes last so the
+# non-finite test can hide its nan in the last block of the last tensor
+STEP_SHAPES = [(3, 5), (1,), (0,), (2 * _STEP_BLOCK + 7,)]
+
+
+def mixed_gradients(rng) -> list:
+    """Gradients whose entries span magnitudes from 1e-9 to 1e3, some exactly 0."""
+    grads = []
+    for shape in STEP_SHAPES:
+        g = rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 4, size=shape)
+        g[rng.random(shape) < 0.05] = 0.0
+        grads.append(g)
+    return grads
+
+
 class TestOptimizerStep:
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_matches_reference_bit_for_bit(self, optimizer):
+        config = TrainConfig(learning_rate=3e-3, optimizer=optimizer)
+        rng = np.random.default_rng(11)
+        params = [rng.standard_normal(shape) for shape in STEP_SHAPES]
+        expected = [p.copy() for p in params]
+        reference = {"step": 0, "m": [], "v": []}
+        state = None
+        for _ in range(20):
+            grads = mixed_gradients(rng)
+            state = optimizer_step(params, grads, config, state)
+            _reference_step(expected, grads, config, reference)
+        assert state.step == reference["step"] == 20
+        moments = state.first_moments + state.second_moments
+        assert len(moments) == len(reference["m"] + reference["v"])
+        for got, want in zip(params + moments, expected + reference["m"] + reference["v"]):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_non_finite_gradient_changes_nothing(self, optimizer):
+        config = TrainConfig(optimizer=optimizer)
+        rng = np.random.default_rng(12)
+        params = [rng.standard_normal(shape) for shape in STEP_SHAPES]
+        state = None
+        for _ in range(3):
+            state = optimizer_step(params, mixed_gradients(rng), config, state)
+        before = [t.copy() for t in params + state.first_moments + state.second_moments]
+        grads = mixed_gradients(rng)
+        grads[-1][-1] = np.nan
+        with pytest.raises(NonFiniteError):
+            optimizer_step(params, grads, config, state)
+        assert state.step == 3
+        after = params + state.first_moments + state.second_moments
+        assert len(after) == len(before)
+        for got, want in zip(after, before):
+            assert got.tobytes() == want.tobytes()
+
+    def test_non_contiguous_parameter_rejected(self):
+        config = TrainConfig()
+        params = [np.zeros(4), np.zeros((3, 2)).T]
+        grads = [np.ones(4), np.ones((2, 3))]
+        with pytest.raises(ValueError, match="parameter tensor 1 is not C-contiguous"):
+            optimizer_step(params, grads, config)
+        np.testing.assert_array_equal(params[0], 0.0)
+
     def test_sgd_rule(self):
         config = TrainConfig(learning_rate=0.1, optimizer="sgd")
         p = np.array([1.0, -2.0])
@@ -435,6 +523,11 @@ class TestTrainConfig:
             {"optimizer": "adagrad"},
             {"beta1": 1.0},
             {"epsilon": 0.0},
+            {"learning_rate": math.nan},
+            {"learning_rate": math.inf},
+            {"epsilon": math.nan},
+            {"epsilon": math.inf},
+            {"seed": -1},
             {"margin": -0.1},
             {"margin": 2.5},
         ],

@@ -374,3 +374,7 @@ class TestGenerateSynthetic:
             SynthConfig(asv_channel_scale=-0.1)
         with pytest.raises(ValueError, match="cm_speaker_scale"):
             SynthConfig(cm_speaker_scale=-1.0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SynthConfig(seed=-1)
