@@ -10,15 +10,20 @@ directory, which is removed afterwards. For every workload and seed the script
 runs ``benchmark/run.py --trace 0`` once on each side, for the ``run_seconds``
 that ``BENCHMARK.json`` sets, the parent first on
 even pairs and the change first on odd ones, so that a drift of the machine's
-speed favours neither side. Held-out seed 7919 is always added.
+speed favours neither side. Held-out seed 7919 is always added. After a
+workload's pairs, one ``--trace 1`` run per side on seed 7919 records the
+per-layer metrics, which show in which layer a change of the end-to-end
+numbers lands.
 
 The JSON file holds, per workload, every pair's end-to-end metrics and
 correctness counts, and per metric each side's median and quartiles, the
 median's relative change, how many pairs each side won and whether the
 change's median lies outside the parent's interquartile range. It also keeps
 the ``machine:`` lines and, per run, the ``eer`` lines that the runs printed,
-and whether the two sides of every pair printed the same EERs. To tie the
-numbers to the code they measured, it records the git tree hashes of
+and whether the two sides of every pair printed the same EERs. A run that
+ends without its result line is kept with its exit code and last output
+lines, and the summaries use only the pairs whose two runs both reported.
+To tie the numbers to the code they measured, it records the git tree hashes of
 ``src/``, ``tests/`` and ``scripts/`` on each side, the change's taken from the
 working tree as it stands; ``git rev-parse <commit>:src`` on a commit that
 holds the same files prints the same hash.
@@ -37,6 +42,7 @@ from pathlib import Path
 
 HELD_OUT_SEED = 7919
 TREES = ("src", "tests", "scripts")
+TAIL_LINES = 20  # output lines kept from a failed run
 
 
 def git(*args, cwd: Path, env=None) -> str:
@@ -55,18 +61,22 @@ def trees(checkout: Path, rev: str | None) -> dict:
         return {d: git("write-tree", f"--prefix={d}/", cwd=checkout, **index) for d in TREES}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``benchmark/run.py`` run; its result line plus the lines worth keeping."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One ``benchmark/run.py`` run; its result line plus the lines worth keeping.
+
+    A run without a result line is returned as its exit code and output tail.
+    """
     argv = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
-        raise SystemExit(f"benchmark run failed in {checkout} (exit {proc.returncode}):\n"
-                         f"{proc.stdout}{proc.stderr}") from None
+        return {"exit_code": proc.returncode,
+                "tail": (proc.stdout + proc.stderr).splitlines()[-TAIL_LINES:]}
     return {
+        "exit_code": proc.returncode,
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
@@ -83,6 +93,8 @@ def quartiles(values: list) -> dict:
 
 
 def summarize(pairs: list, better: dict) -> dict:
+    if not pairs:
+        return {}
     summary = {}
     for name, direction in better.items():
         sign = 1.0 if direction == "lower" else -1.0
@@ -116,16 +128,25 @@ def run_pairs(args, parent: Path, change: Path, better: dict, seconds: float) ->
                 pair[side] = run_once(checkout, workload, seed, seconds)
             pairs.append(pair)
             print(f"{workload} seed {seed}: " + ", ".join(
-                f"{side} {pair[side]['metrics'].get('train_s', float('nan')):.3f}"
-                f"{'' if pair[side]['correct'] else ' (incorrect)'}"
+                f"{side} {pair[side].get('metrics', {}).get('train_s', float('nan')):.3f}"
+                f"{'' if pair[side].get('correct') else ' (incorrect or failed)'}"
                 for side in ("parent", "change")) + " train_s", flush=True)
+        traced = {"seed": HELD_OUT_SEED}
+        for side, checkout in (("parent", parent), ("change", change)):
+            traced[side] = run_once(checkout, workload, HELD_OUT_SEED, seconds, trace=1)
+        runs = [p[s] for p in pairs for s in ("parent", "change")]
+        complete = [p for p in pairs if "metrics" in p["parent"] and "metrics" in p["change"]]
         results[workload] = {
-            "summary": summarize(pairs, better),
-            "all_correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
-            "machine": sorted({l for p in pairs for s in ("parent", "change")
-                               for l in p[s].pop("machine")}),
-            "eer_identical": all(p["parent"]["eer"] == p["change"]["eer"] for p in pairs),
+            "summary": summarize(complete, better),
+            "pairs_used": len(complete),
+            "all_correct": all(r.get("correct", False) for r in runs),
+            "failed_runs": sum("metrics" not in r for r in runs),
+            "machine": sorted({l for r in runs + [traced["parent"], traced["change"]]
+                               for l in r.pop("machine", [])}),
+            "eer_identical": all(p["parent"].get("eer") == p["change"].get("eer")
+                                 for p in pairs),
             "pairs": pairs,
+            "traced": traced,
         }
     return results
 

@@ -27,16 +27,18 @@ import sys
 from pathlib import Path
 
 from .data import (
+    TrialList,
     load_embedding_store,
     parse_cm_protocol,
     parse_enrollment_map,
     parse_trial_list,
+    read_text,
     write_embedding_store,
     write_enrollment_map,
     write_protocol,
     write_trial_list,
 )
-from .metrics import ScoredTrial, evaluate_system, write_report
+from .metrics import ScoredTrials, evaluate_system, write_report
 from .models import SYSTEMS, load_model, save_model, score_trials, system_name
 from .neuralcore import TrainConfig
 from .sampling import SynthConfig, generate_synthetic
@@ -123,7 +125,11 @@ def _merge_settings(args: argparse.Namespace, recognized: frozenset, flag_keys: 
         path = Path(args.config)
         if not path.is_file():
             raise UsageError(f"config file not found: {path}")
-        settings.update(parse_kv_text(path.read_text(encoding="utf-8"), source=str(path)))
+        try:
+            text = read_text(path)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        settings.update(parse_kv_text(text, source=str(path)))
     for item in args.overrides:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
@@ -219,11 +225,11 @@ def _load_stores(settings: dict, command: str):
     return load_embedding_store(asv_path, "asv"), load_embedding_store(cm_path, "cm")
 
 
-def _load_trials(settings: dict, command: str) -> list:
+def _load_trials(settings: dict, command: str) -> TrialList:
     enrollment_path = _existing_path(settings, "enrollment", command)
     trials_path = _existing_path(settings, "trials", command)
-    enrollment = parse_enrollment_map(enrollment_path.read_text(encoding="utf-8"))
-    return parse_trial_list(trials_path.read_text(encoding="utf-8"), enrollment)
+    enrollment = parse_enrollment_map(read_text(enrollment_path))
+    return parse_trial_list(read_text(trials_path), enrollment)
 
 
 def _log_eers(command: str, report) -> None:
@@ -280,7 +286,7 @@ def cmd_train(args: argparse.Namespace) -> None:
     config = _build_dataclass(TrainConfig, settings)
     protocol_path = _existing_path(settings, "protocol", "train")
     asv_store, cm_store = _load_stores(settings, "train")
-    records = parse_cm_protocol(protocol_path.read_text(encoding="utf-8"))
+    records = parse_cm_protocol(read_text(protocol_path))
     _LOG.info("train: fitting %s on %d protocol records", kind, len(records))
     model, history = system.train(records, asv_store, cm_store, config, **system.options)
     for row in history:
@@ -305,14 +311,13 @@ def _bins(settings: dict) -> int:
     return bins
 
 
-def write_score_file(scored, path: Path) -> None:
+def write_score_file(scored: ScoredTrials, path: Path) -> None:
     """One line per trial: enroll speaker, test utterance, full-precision score."""
+    trials = scored.trials
     with open(path, "w", encoding="utf-8") as fh:
-        for item in scored:
-            fh.write(
-                f"{item.trial.enroll_speaker_id} "
-                f"{item.trial.test_utterance_id} {float(item.score)!r}\n"
-            )
+        for speaker, utterance, score in zip(trials.enroll_speakers(), trials.test_utterances(),
+                                             scored.scores.tolist()):
+            fh.write(f"{speaker} {utterance} {score!r}\n")
 
 
 def cmd_evaluate(args: argparse.Namespace) -> None:
@@ -407,32 +412,19 @@ def cmd_report(args: argparse.Namespace) -> None:
     out = _out_dir(settings, "report")
     scores_path = _existing_path(settings, "scores", "report")
     trials = _load_trials(settings, "report")
-    scores = parse_score_file(
-        scores_path.read_text(encoding="utf-8"), source=str(scores_path)
-    )
-    missing = [
-        trial
-        for trial in trials
-        if (trial.enroll_speaker_id, trial.test_utterance_id) not in scores
-    ]
-    if missing:
-        shown = ", ".join(
-            f"{t.enroll_speaker_id} {t.test_utterance_id}" for t in missing[:20]
-        )
+    scores = parse_score_file(read_text(scores_path), source=str(scores_path))
+    keys = list(zip(trials.enroll_speakers(), trials.test_utterances()))
+    values = list(map(scores.get, keys))
+    if None in values:
+        missing = [key for key, value in zip(keys, values) if value is None]
+        shown = ", ".join(f"{speaker} {utterance}" for speaker, utterance in missing[:20])
         if len(missing) > 20:
             shown += ", ..."
         raise ValueError(
             f"score file covers {len(trials) - len(missing)} of {len(trials)} "
             f"trials; missing: {shown}"
         )
-    scored = [
-        ScoredTrial(
-            trial=trial,
-            score=scores[(trial.enroll_speaker_id, trial.test_utterance_id)],
-        )
-        for trial in trials
-    ]
-    report = evaluate_system(scored, bins=bins)
+    report = evaluate_system(ScoredTrials(trials, values), bins=bins)
     write_report(report, out)
     resolved = {
         "scores": str(settings["scores"]),

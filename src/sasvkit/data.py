@@ -16,6 +16,7 @@ enrollment map ``speaker utt1,utt2,...``.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -280,13 +281,27 @@ def _load_tsv_store(text: str, kind: str) -> EmbeddingStore:
     return store
 
 
+def _decode(raw: bytes, path) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{path}: not UTF-8 text: byte 0x{raw[exc.start]:02x} at offset {exc.start}"
+        ) from None
+
+
+def read_text(path) -> str:
+    """A UTF-8 text file's contents; an error names the file and the first bad byte."""
+    return _decode(Path(path).read_bytes(), path)
+
+
 def load_embedding_store(path, kind: str) -> EmbeddingStore:
     """Load a store from disk, sniffing binary vs. TSV by the magic bytes."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[: len(STORE_MAGIC)] == STORE_MAGIC:
         return _load_binary_store(raw, kind)
-    return _load_tsv_store(raw.decode("utf-8"), kind)
+    return _load_tsv_store(_decode(raw, path), kind)
 
 
 def parse_cm_protocol(text: str) -> list:
@@ -342,39 +357,120 @@ def write_enrollment_map(mapping: dict, path) -> None:
             fh.write(f"{speaker} {','.join(ids)}\n")
 
 
-def parse_trial_lines(text: str) -> list:
-    """Parse the raw three-column trial rows without resolving enrollment."""
-    rows = []
+_LABEL_CODES = {label: i for i, label in enumerate(TRIAL_LABELS)}
+
+
+def _distinct(values) -> tuple:
+    """The distinct values in first-appearance order, and each value's index."""
+    distinct = list(dict.fromkeys(values))
+    position = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(position.__getitem__, values), np.intp, len(values))
+
+
+class TrialList(Sequence):
+    """A trial list held as columns.
+
+    ``enrollments`` holds the distinct (speaker, utterance tuple) pairs and
+    ``test_ids`` the distinct test utterances, each in order of first
+    appearance. Trial ``i`` pairs ``enrollments[enroll_index[i]]`` with
+    ``test_ids[test_index[i]]`` under label ``TRIAL_LABELS[label_codes[i]]``.
+    It reads as a sequence of TrialRecords, built on demand.
+    """
+
+    def __init__(self, enrollments: list, test_ids: list, enroll_index: np.ndarray,
+                 test_index: np.ndarray, label_codes: np.ndarray):
+        self.enrollments = enrollments
+        self.test_ids = test_ids
+        self.enroll_index = enroll_index
+        self.test_index = test_index
+        self.label_codes = label_codes
+
+    @classmethod
+    def from_records(cls, records) -> "TrialList":
+        records = list(records)
+        enrollments, enroll_index = _distinct(
+            [(t.enroll_speaker_id, t.enroll_utterance_ids) for t in records])
+        test_ids, test_index = _distinct([t.test_utterance_id for t in records])
+        codes = np.fromiter((_LABEL_CODES[t.label] for t in records), np.int8, len(records))
+        return cls(enrollments, test_ids, enroll_index, test_index, codes)
+
+    def __len__(self) -> int:
+        return len(self.label_codes)
+
+    def __getitem__(self, i):
+        speaker, ids = self.enrollments[self.enroll_index[i]]
+        return TrialRecord(speaker, ids, self.test_ids[self.test_index[i]],
+                           TRIAL_LABELS[self.label_codes[i]])
+
+    def __iter__(self):
+        for e, k, c in zip(self.enroll_index.tolist(), self.test_index.tolist(),
+                           self.label_codes.tolist()):
+            speaker, ids = self.enrollments[e]
+            yield TrialRecord(speaker, ids, self.test_ids[k], TRIAL_LABELS[c])
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def enroll_speakers(self) -> list:
+        """The enrolled speaker of each trial."""
+        speakers = np.array([speaker for speaker, _ in self.enrollments], dtype=object)
+        return speakers[self.enroll_index].tolist()
+
+    def test_utterances(self) -> list:
+        """The test utterance of each trial."""
+        return np.array(self.test_ids, dtype=object)[self.test_index].tolist()
+
+
+def _text_columns(text: str, width: int):
+    """The fields of ``width``-field lines as ``width`` columns, blank lines skipped.
+
+    Returns None if some line has another number of fields.
+    """
+    if not set(map(len, map(str.split, text.splitlines()))) <= {0, width}:
+        return None
+    # every line break is whitespace, so the text's fields are the lines' fields
+    fields = text.split()
+    return [fields[i::width] for i in range(width)]
+
+
+def _check_trial_lines(text: str) -> None:
+    """Raise for the first malformed line of a trial list."""
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         fields = line.split()
+        if not fields:
+            continue
         if len(fields) != 3:
             raise ValueError(f"line {lineno}: expected 3 columns, got {len(fields)}")
-        speaker, test_utt, label = fields
-        if label not in TRIAL_LABELS:
+        if fields[2] not in TRIAL_LABELS:
             raise ValueError(
-                f"line {lineno}: label must be one of {TRIAL_LABELS}, got {label!r}"
+                f"line {lineno}: label must be one of {TRIAL_LABELS}, got {fields[2]!r}"
             )
-        rows.append((speaker, test_utt, label))
-    return rows
 
 
-def parse_trial_list(text: str, enrollment_map: dict) -> list:
-    """Resolve trial rows against the enrollment map into TrialRecords."""
-    trials = []
-    for speaker, test_utt, label in parse_trial_lines(text):
+def parse_trial_list(text: str, enrollment_map: dict) -> TrialList:
+    """Parse ``enroll_speaker test_utterance label`` lines into a TrialList.
+
+    Every line is checked before any speaker is resolved against the
+    enrollment map; errors name the first offending line or speaker.
+    """
+    columns = _text_columns(text, 3)
+    if columns is None or not set(columns[2]) <= _LABEL_CODES.keys():
+        _check_trial_lines(text)
+    speakers, tests, labels = columns
+    codes = np.fromiter(map(_LABEL_CODES.__getitem__, labels), np.int8, len(labels))
+    distinct, enroll_index = _distinct(speakers)
+    enrollments = []
+    for speaker in distinct:
         if speaker not in enrollment_map:
             raise ValueError(f"speaker {speaker!r} missing from the enrollment map")
-        trials.append(
-            TrialRecord(
-                enroll_speaker_id=speaker,
-                enroll_utterance_ids=enrollment_map[speaker],
-                test_utterance_id=test_utt,
-                label=label,
-            )
-        )
-    return trials
+        ids = tuple(enrollment_map[speaker])
+        if not ids:
+            raise ValueError("a trial needs at least one enrollment utterance")
+        enrollments.append((speaker, ids))
+    test_ids, test_index = _distinct(tests)
+    return TrialList(enrollments, test_ids, enroll_index, test_index, codes)
 
 
 def write_trial_list(trials, path) -> None:

@@ -10,12 +10,13 @@ false-rejection curves.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import TRIAL_LABELS, TrialRecord
+from .data import TRIAL_LABELS, TrialList, TrialRecord
 
 METRIC_NAMES = ("sv", "spf", "sasv")
 # positive label and negative labels per metric
@@ -36,6 +37,43 @@ class ScoredTrial:
     @property
     def label(self) -> str:
         return self.trial.label
+
+
+class ScoredTrials(Sequence):
+    """A trial list with one float64 score per trial.
+
+    It reads as a sequence of ScoredTrials, built on demand. ``cm_fallbacks``
+    counts the distinct enrollments scored with the CM store-wide mean
+    because none of their utterances has a CM embedding.
+    """
+
+    def __init__(self, trials: TrialList, scores, cm_fallbacks: int = 0):
+        self.trials = trials
+        self.scores = np.ascontiguousarray(scores, dtype=np.float64)
+        self.cm_fallbacks = cm_fallbacks
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, i):
+        return ScoredTrial(self.trials[i], float(self.scores[i]))
+
+    def __iter__(self):
+        return map(ScoredTrial, self.trials, self.scores.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def _as_scored_trials(scored_trials) -> ScoredTrials:
+    """A ScoredTrials as is; any other iterable of ScoredTrial, converted."""
+    if isinstance(scored_trials, ScoredTrials):
+        return scored_trials
+    items = list(scored_trials)
+    return ScoredTrials(TrialList.from_records(s.trial for s in items),
+                        np.array([s.score for s in items], dtype=np.float64))
 
 
 def compute_eer(positive_scores, negative_scores) -> tuple:
@@ -71,13 +109,6 @@ def compute_eer(positive_scores, negative_scores) -> tuple:
     return float(eer), float(threshold)
 
 
-def _label_codes(scored_trials) -> np.ndarray:
-    """Index into TRIAL_LABELS of each trial's label."""
-    code = {label: i for i, label in enumerate(TRIAL_LABELS)}
-    return np.fromiter((code[s.label] for s in scored_trials), dtype=np.int8,
-                       count=len(scored_trials))
-
-
 def _metric_masks(codes: np.ndarray, metric: str) -> tuple:
     """Boolean masks of the positive and the negative side of a metric."""
     if metric not in _METRIC_SIDES:
@@ -89,11 +120,9 @@ def _metric_masks(codes: np.ndarray, metric: str) -> tuple:
 
 def subset_trials(scored_trials, metric: str) -> tuple:
     """Split scored trials into the positive and negative side of a metric."""
-    scored_trials = list(scored_trials)
-    pos, neg = _metric_masks(_label_codes(scored_trials), metric)
-    positives = [s for s, keep in zip(scored_trials, pos) if keep]
-    negatives = [s for s, keep in zip(scored_trials, neg) if keep]
-    return positives, negatives
+    scored = _as_scored_trials(scored_trials)
+    pos, neg = _metric_masks(scored.trials.label_codes, metric)
+    return [scored[i] for i in np.flatnonzero(pos)], [scored[i] for i in np.flatnonzero(neg)]
 
 
 def _histogram(scores: np.ndarray, codes: np.ndarray, bins: int) -> tuple:
@@ -111,13 +140,6 @@ def _histogram(scores: np.ndarray, codes: np.ndarray, bins: int) -> tuple:
     return edges, counts
 
 
-def score_histogram(scored_trials, bins: int = 30) -> tuple:
-    """Per-label score counts over shared bin edges spanning all scores."""
-    scored_trials = list(scored_trials)
-    scores = np.array([s.score for s in scored_trials], dtype=np.float64)
-    return _histogram(scores, _label_codes(scored_trials), bins)
-
-
 @dataclass
 class EvalReport:
     """EERs (as percentages), thresholds, trial counts, and a histogram."""
@@ -133,11 +155,10 @@ class EvalReport:
 
 def evaluate_system(scored_trials, bins: int = 30) -> EvalReport:
     """Compute all three EERs; a metric with an empty side stays absent."""
-    scored_trials = list(scored_trials)
-    if not scored_trials:
+    scored = _as_scored_trials(scored_trials)
+    if not len(scored):
         raise ValueError("no scored trials to evaluate")
-    scores = np.array([s.score for s in scored_trials], dtype=np.float64)
-    codes = _label_codes(scored_trials)
+    scores, codes = scored.scores, scored.trials.label_codes
     eer_percent = {}
     threshold = {}
     n_positive = {}

@@ -31,8 +31,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import EmbeddingStore, enrollment_embedding
-from .metrics import ScoredTrial
+from .data import EmbeddingStore, TrialList, enrollment_embedding
+from .metrics import ScoredTrials
 from .neuralcore import (
     Elu,
     FullyConnected,
@@ -67,11 +67,29 @@ class Mlp:
     def init(cls, spec: MlpSpec, rng: np.random.Generator) -> "Mlp":
         return cls(spec, MlpParams.init(spec, rng))
 
-    def forward(self, x):
-        return mlp_forward(self.spec, self.params, x)
+    def forward(self, x, check_finite: bool = False):
+        return mlp_forward(self.spec, self.params, x, check_finite)
 
     def backward(self, tape, grad_out):
         return mlp_backward(self.spec, self.params, tape, grad_out)
+
+
+def _forward(model, block: str, x) -> tuple:
+    return getattr(model, block).forward(x)
+
+
+def _scoring_forward(model, block: str, x) -> tuple:
+    """Forward of a loaded block, whose weights may be finite but too large.
+
+    A layer output that overflowed is an error naming the block. NumPy's
+    warnings are silenced: a large input to an ELU overflows only the
+    negative branch that it does not take, which is no error.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return getattr(model, block).forward(x, check_finite=True)
+        except FloatingPointError:
+            raise ValueError(f"activations of block {block} overflowed") from None
 
 
 def _encoder_spec(in_dim: int) -> MlpSpec:
@@ -228,7 +246,7 @@ class MsfmModel:
 
     def score_batch(self, tables: TrialTables) -> np.ndarray:
         """Fused target probability of each trial."""
-        _, _, v, _ = _msfm_pass(self, tables)
+        _, _, v, _ = _msfm_pass(self, tables, _scoring_forward)
         return softmax(v)[:, 1]
 
 
@@ -252,17 +270,18 @@ def make_msfm(
     )
 
 
-def _msfm_pass(model: MsfmModel, t: TrialTables):
+def _msfm_pass(model: MsfmModel, t: TrialTables, forward=_forward):
     """Speaker-match logits, their softmax, fusion logits, and the four tapes.
 
     The encoders see the table rows; the heads see one row per trial.
+    ``forward(model, block, x)`` runs one block.
     """
     e, k = t.enroll_index, t.test_index
     enroll_in = np.column_stack([_unit_rows(t.enroll_asv), _unit_rows(t.enroll_cm)])
     test_in = np.column_stack([_unit_rows(t.test_asv), _unit_rows(t.test_cm)])
-    enc_e, tape_e = model.enroll_encoder.forward(enroll_in)
-    enc_t, tape_t = model.test_encoder.forward(test_in)
-    s, tape_s = model.verification_head.forward(np.column_stack([enc_e[e], enc_t[k]]))
+    enc_e, tape_e = forward(model, "enroll_encoder", enroll_in)
+    enc_t, tape_t = forward(model, "test_encoder", test_in)
+    s, tape_s = forward(model, "verification_head", np.column_stack([enc_e[e], enc_t[k]]))
     p_s = softmax(s)
     columns = [
         _pair_cosine(t.enroll_asv, t.test_asv, e, k),
@@ -270,7 +289,7 @@ def _msfm_pass(model: MsfmModel, t: TrialTables):
     ]
     if model.use_sssv_score:
         columns.append(p_s[:, 1])
-    v, tape_v = model.fusion_head.forward(np.column_stack(columns))
+    v, tape_v = forward(model, "fusion_head", np.column_stack(columns))
     return s, p_s, v, (tape_e, tape_t, tape_s, tape_v)
 
 
@@ -472,8 +491,8 @@ def iep_project(model: IepModel, asv_rows: np.ndarray, cm_rows: np.ndarray) -> n
     """
     x = _unit_rows(asv_rows)
     y = _unit_rows(cm_rows)
-    h, _ = model.trunk.forward(np.column_stack([x, y]))
-    z, _ = model.projector.forward(np.column_stack([h, x, y]))
+    h, _ = _scoring_forward(model, "trunk", np.column_stack([x, y]))
+    z, _ = _scoring_forward(model, "projector", np.column_stack([h, x, y]))
     return z
 
 
@@ -574,8 +593,8 @@ class Baseline2Model:
     def score_batch(self, t: TrialTables) -> np.ndarray:
         # the enrollment CM embedding is not part of this system's input
         e, k = t.enroll_index, t.test_index
-        v, _ = self.mlp.forward(
-            np.column_stack(
+        v, _ = _scoring_forward(
+            self, "mlp", np.column_stack(
                 [_unit_rows(t.enroll_asv[e]), _unit_rows(t.test_asv[k]),
                  _unit_rows(t.test_cm[k])]
             )
@@ -627,7 +646,8 @@ def train_baseline2(records, asv_store: EmbeddingStore, cm_store: EmbeddingStore
 # trial scoring
 
 
-def _trial_arrays(trials, asv_store: EmbeddingStore, cm_store: EmbeddingStore) -> tuple:
+def _trial_arrays(trials: TrialList, asv_store: EmbeddingStore,
+                  cm_store: EmbeddingStore) -> tuple:
     """Resolve a trial list into TrialTables; also count the CM fallbacks.
 
     Each distinct enrollment (speaker and utterance list) and each distinct
@@ -637,20 +657,10 @@ def _trial_arrays(trials, asv_store: EmbeddingStore, cm_store: EmbeddingStore) -
     enrollment audio often ships without CM output; the second return value
     counts the enrollments that did.
     """
-    enroll_rows: dict = {}
-    test_rows: dict = {}
-    n = len(trials)
-    enroll_index = np.fromiter(
-        (enroll_rows.setdefault((t.enroll_speaker_id, t.enroll_utterance_ids), len(enroll_rows))
-         for t in trials), dtype=np.intp, count=n,
-    )
-    test_index = np.fromiter(
-        (test_rows.setdefault(t.test_utterance_id, len(test_rows)) for t in trials),
-        dtype=np.intp, count=n,
-    )
-    enroll_utts = {u for _, ids in enroll_rows for u in ids}
-    missing = {f"{u} (asv)" for u in enroll_utts | test_rows.keys() if u not in asv_store}
-    missing |= {f"{u} (cm)" for u in test_rows if u not in cm_store}
+    test_ids = trials.test_ids
+    enroll_utts = {u for _, ids in trials.enrollments for u in ids}
+    missing = {f"{u} (asv)" for u in enroll_utts.union(test_ids) if u not in asv_store}
+    missing |= {f"{u} (cm)" for u in test_ids if u not in cm_store}
     if missing:
         unique = sorted(missing)
         raise KeyError(
@@ -661,7 +671,7 @@ def _trial_arrays(trials, asv_store: EmbeddingStore, cm_store: EmbeddingStore) -
     enroll_cm = []
     fallbacks = 0
     cm_mean = None
-    for _, ids in enroll_rows:
+    for _, ids in trials.enrollments:
         enroll_asv.append(enrollment_embedding(asv_store, ids))
         present = [u for u in ids if u in cm_store]
         if present:
@@ -671,38 +681,29 @@ def _trial_arrays(trials, asv_store: EmbeddingStore, cm_store: EmbeddingStore) -
             if cm_mean is None:
                 cm_mean = cm_store.mean_vector()
             enroll_cm.append(cm_mean)
-    test_ids = list(test_rows)
     tables = TrialTables(
         enroll_asv=np.stack(enroll_asv),
         enroll_cm=np.stack(enroll_cm),
         test_asv=asv_store.matrix(test_ids),
         test_cm=cm_store.matrix(test_ids),
-        enroll_index=enroll_index,
-        test_index=test_index,
+        enroll_index=trials.enroll_index,
+        test_index=trials.test_index,
     )
     return tables, fallbacks
 
 
-class ScoredTrials(list):
-    """ScoredTrial objects in trial-list order, with what resolving them took.
-
-    ``cm_fallbacks`` counts the distinct enrollments scored with the CM
-    store-wide mean because none of their utterances has a CM embedding.
-    """
-
-    cm_fallbacks = 0
-
-
 def score_trials(system, trials, asv_store: EmbeddingStore,
                  cm_store: EmbeddingStore) -> ScoredTrials:
-    """Score every trial; returns ScoredTrial objects in trial-list order.
+    """Score every trial; returns the scores in trial-list order.
 
-    ``system`` is a trained model, or one of the strings "baseline1" and
-    "asv-only" for the training-free scorers.
+    ``trials`` is a TrialList or any iterable of TrialRecords. ``system`` is
+    a trained model, or one of the strings "baseline1" and "asv-only" for
+    the training-free scorers.
     """
-    trials = list(trials)
-    if not trials:
-        return ScoredTrials()
+    if not isinstance(trials, TrialList):
+        trials = TrialList.from_records(trials)
+    if not len(trials):
+        return ScoredTrials(trials, np.empty(0))
     if system not in ("baseline1", "asv-only") and not hasattr(system, "score_batch"):
         raise ValueError(f"unknown scoring system {system!r}")
     if hasattr(system, "asv_dim"):
@@ -715,9 +716,7 @@ def score_trials(system, trials, asv_store: EmbeddingStore,
             scores = scores + _pair_cosine(t.enroll_cm, t.test_cm, e, k)
     else:
         scores = system.score_batch(t)
-    scored = ScoredTrials(ScoredTrial(trial, float(s)) for trial, s in zip(trials, scores))
-    scored.cm_fallbacks = fallbacks
-    return scored
+    return ScoredTrials(trials, scores, fallbacks)
 
 
 # ---------------------------------------------------------------------------

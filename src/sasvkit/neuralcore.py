@@ -180,8 +180,13 @@ class Tape:
     single: bool
 
 
-def mlp_forward(spec: MlpSpec, params: MlpParams, x) -> tuple:
-    """Run the network, returning the output and the activation tape."""
+def mlp_forward(spec: MlpSpec, params: MlpParams, x, check_finite: bool = False) -> tuple:
+    """Run the network, returning the output and the activation tape.
+
+    With ``check_finite`` a fully connected layer whose output holds an inf
+    or a nan raises FloatingPointError naming the layer. The check must see
+    every such layer: an ELU turns -inf into a finite -1.
+    """
     params.validate_for(spec)
     arr = _as_f64(x, "network input")
     single = arr.ndim == 1
@@ -204,6 +209,10 @@ def mlp_forward(spec: MlpSpec, params: MlpParams, x) -> tuple:
             entries.append(("fc", arr))
             arr = arr @ params.weights[fc_index].T + params.biases[fc_index]
             fc_index += 1
+            # min and max propagate nan and read arr without a temporary
+            if check_finite and arr.size and not (np.isfinite(arr.min())
+                                                  and np.isfinite(arr.max())):
+                raise FloatingPointError(f"layer {i} overflowed")
         else:
             arr = np.where(arr > 0, arr, np.expm1(arr))
             entries.append(("elu", arr))

@@ -1,6 +1,12 @@
+import re
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from sasvkit.cli import main, parse_kv_text, parse_score_file, UsageError
 from sasvkit.data import (
+    TRIAL_LABELS,
     EmbeddingStore,
     load_embedding_store,
     parse_enrollment_map,
@@ -8,6 +14,7 @@ from sasvkit.data import (
     write_embedding_store,
 )
 from sasvkit.models import make_iep, save_model
+from test_data import FUZZ_ENROLLMENT, garbled_text
 
 SYNTH_ARTIFACTS = (
     "protocol.txt",
@@ -456,3 +463,102 @@ class TestParsers:
     def test_score_parser_rejects_short_line(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_score_file("S0 u0\n")
+
+
+SCORE_LINES = st.tuples(st.sampled_from(["S0", "S1"]), st.sampled_from(["T1", "T2"]),
+                        st.sampled_from(["0.5", "-1e3", "0.25", "1_0"]))
+TRIAL_LINES = st.tuples(st.sampled_from(["S0", "S1"]), st.sampled_from(["T1", "T2"]),
+                        st.sampled_from(TRIAL_LABELS))
+
+
+def one_error_line(result, message: str) -> None:
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.splitlines() == [f"ERROR sasvkit: {message}"]
+
+
+@pytest.fixture(scope="module")
+def garbled_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("garbled")
+    (out / "enrollment.txt").write_text(
+        "".join(f"{s} {','.join(ids)}\n" for s, ids in FUZZ_ENROLLMENT.items()))
+    (out / "trials.txt").write_text("S0 T1 target\nS1 T2 spoof\n")
+    return out
+
+
+class TestGarbledText:
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=garbled_text(SCORE_LINES))
+    def test_garbled_score_file_is_one_line(self, corpus, garbled_dir, run_cli, text):
+        path = garbled_dir / "scores.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            parse_score_file(text, source=str(path))
+            return
+        except ValueError as exc:
+            message = str(exc)
+        assert re.search(r"line \d+", message)
+        result = run_cli("report", "--scores", path, "--trials", garbled_dir / "trials.txt",
+                         "--enrollment", garbled_dir / "enrollment.txt",
+                         "--out", garbled_dir / "report")
+        one_error_line(result, message)
+
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=garbled_text(TRIAL_LINES))
+    def test_garbled_trial_list_is_one_line(self, corpus, garbled_dir, run_cli, text):
+        path = garbled_dir / "garbled_trials.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            parse_trial_list(text, FUZZ_ENROLLMENT)
+            return
+        except ValueError as exc:
+            message = str(exc)
+        result = run_cli("evaluate", "--model", "baseline1", "--asv-store", corpus / "asv.emb",
+                         "--cm-store", corpus / "cm.emb", "--trials", path,
+                         "--enrollment", garbled_dir / "enrollment.txt",
+                         "--out", garbled_dir / "eval")
+        one_error_line(result, message)
+
+
+class TestTextEncoding:
+    @pytest.mark.parametrize("name, code", [
+        ("trials", 1), ("enrollment", 1), ("scores", 1), ("protocol", 1), ("config", 2),
+    ])
+    def test_non_utf8_file_is_named_with_its_offset(self, corpus, tmp_path, run_cli,
+                                                    name, code):
+        bad = tmp_path / f"{name}.txt"
+        bad.write_bytes(b"S00\xff U1 target\n")
+        stores = ["--asv-store", corpus / "asv.emb", "--cm-store", corpus / "cm.emb"]
+        trials = {"trials": corpus / "trials_eval.txt", "enrollment": corpus / "enrollment.txt"}
+        trials[name] = bad
+        trial_files = ["--trials", trials["trials"], "--enrollment", trials["enrollment"]]
+        argv = {
+            "trials": ["evaluate", "--model", "baseline1", *stores, *trial_files],
+            "enrollment": ["evaluate", "--model", "baseline1", *stores, *trial_files],
+            "scores": ["report", "--scores", bad, *trial_files],
+            "protocol": ["train", "--model", "msfm", *stores, "--protocol", bad],
+            "config": ["synth", "--config", bad],
+        }[name]
+        result = run_cli(*argv, "--out", tmp_path / "out")
+        assert result.returncode == code
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert str(bad) in lines[0] and "byte 0xff at offset 3" in lines[0]
+
+
+class TestOverflowingCheckpoint:
+    def test_evaluate_names_the_overflowing_block(self, corpus, tmp_path, run_cli,
+                                                  monkeypatch):
+        monkeypatch.setenv("SASV_LOG", "error")
+        trained = run_cli("train", "--model", "msfm", "--asv-store", corpus / "asv.emb",
+                          "--cm-store", corpus / "cm.emb", "--protocol", corpus / "protocol.txt",
+                          "--out", tmp_path / "train", "--set", "learning_rate=1e308",
+                          "--set", "epochs=1", "--set", "samples_per_epoch=64")
+        assert trained.returncode == 0, trained.stderr
+        result = run_cli(*evaluate_args(corpus, tmp_path / "eval", model="msfm",
+                                        checkpoint=tmp_path / "train" / "model.ckpt"))
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert re.fullmatch(r"ERROR sasvkit: activations of block \w+ overflowed", lines[0])

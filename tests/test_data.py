@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sasvkit.data import (
+    TRIAL_LABELS,
     EmbeddingStore,
     TrialRecord,
     UtteranceRecord,
@@ -16,7 +17,6 @@ from sasvkit.data import (
     load_embedding_store,
     parse_cm_protocol,
     parse_enrollment_map,
-    parse_trial_lines,
     parse_trial_list,
     write_embedding_store,
     write_enrollment_map,
@@ -87,7 +87,7 @@ class TestTrialList:
 
     def test_bonafide_label_rejected(self):
         with pytest.raises(ValueError, match="label"):
-            parse_trial_lines("SPK1 U7 bonafide\n")
+            parse_trial_list("SPK1 U7 bonafide\n", {"SPK1": ("U1",)})
 
     def test_missing_speaker_rejected(self):
         with pytest.raises(ValueError, match="enrollment map"):
@@ -95,7 +95,7 @@ class TestTrialList:
 
     def test_wrong_columns_named(self):
         with pytest.raises(ValueError, match="line 1"):
-            parse_trial_lines("SPK1 target\n")
+            parse_trial_list("SPK1 target\n", {"SPK1": ("U1",)})
 
     def test_round_trip(self, tmp_path):
         mapping = {"A": ("U1",), "B": ("U2",)}
@@ -110,6 +110,74 @@ class TestTrialList:
     def test_empty_enrollment_rejected(self):
         with pytest.raises(ValueError):
             TrialRecord("A", (), "T1", "target")
+
+
+def reference_trial_list(text: str, enrollment_map: dict) -> list:
+    """The line-by-line parser that built one TrialRecord per line."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split()
+        if len(fields) != 3:
+            raise ValueError(f"line {lineno}: expected 3 columns, got {len(fields)}")
+        if fields[2] not in TRIAL_LABELS:
+            raise ValueError(
+                f"line {lineno}: label must be one of {TRIAL_LABELS}, got {fields[2]!r}"
+            )
+        rows.append(fields)
+    trials = []
+    for speaker, test_utt, label in rows:
+        if speaker not in enrollment_map:
+            raise ValueError(f"speaker {speaker!r} missing from the enrollment map")
+        trials.append(TrialRecord(speaker, enrollment_map[speaker], test_utt, label))
+    return trials
+
+
+FUZZ_ENROLLMENT = {"S0": ("U1",), "S1": ("U1", "U2")}
+FIELDS = st.sampled_from(
+    ["S0", "S1", "S9", "U1", "U2", *TRIAL_LABELS, "bonafide", "0.25", "-1e3", "nan", "\u00fc"]
+)
+SEPARATORS = st.sampled_from([" ", "\t", "  ", "\u3000"])
+LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"])
+
+
+def garbled_text(valid_line, fields=FIELDS):
+    """Valid lines mixed with lines of any fields, separators and line breaks."""
+    line = st.one_of(valid_line, valid_line, st.lists(fields, max_size=5))
+    return st.lists(st.tuples(line, SEPARATORS, LINE_BREAKS), max_size=8).map(
+        lambda rows: "".join(sep.join(f) + end for f, sep, end in rows))
+
+
+class TestTrialListColumns:
+    def test_columns_hold_distinct_items(self):
+        trials = parse_trial_list("S1 T1 target\nS0 T2 spoof\nS1 T2 nontarget\n",
+                                  FUZZ_ENROLLMENT)
+        assert trials.enrollments == [("S1", ("U1", "U2")), ("S0", ("U1",))]
+        assert trials.test_ids == ["T1", "T2"]
+        assert trials.enroll_index.tolist() == [0, 1, 0]
+        assert trials.test_index.tolist() == [0, 1, 1]
+        assert [TRIAL_LABELS[c] for c in trials.label_codes] == ["target", "spoof", "nontarget"]
+        assert trials[-1] == TrialRecord("S1", ("U1", "U2"), "T2", "nontarget")
+        with pytest.raises(IndexError):
+            trials[3]
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=garbled_text(st.tuples(st.sampled_from(["S0", "S1"]),
+                                       st.sampled_from(["T1", "T2", "U1"]),
+                                       st.sampled_from(TRIAL_LABELS))))
+    def test_parses_like_the_line_by_line_parser(self, text):
+        try:
+            expected = reference_trial_list(text, FUZZ_ENROLLMENT)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                parse_trial_list(text, FUZZ_ENROLLMENT)
+            assert str(err.value) == str(exc)
+            return
+        trials = parse_trial_list(text, FUZZ_ENROLLMENT)
+        assert len(trials) == len(expected)
+        assert [trials[i] for i in range(len(trials))] == expected
+        assert list(trials) == expected
 
 
 def make_store(dim=4, kind="asv", n=5, seed=0):

@@ -14,7 +14,6 @@ from sasvkit.metrics import (
     format_histogram_csv,
     format_report_csv,
     format_report_text,
-    score_histogram,
     subset_trials,
 )
 
@@ -206,7 +205,8 @@ class TestHistogram:
         rng = np.random.default_rng(0)
         trials = [scored("target", float(s), i) for i, s in enumerate(rng.normal(1, 1, 40))]
         trials += [scored("spoof", float(s), i) for i, s in enumerate(rng.normal(0, 1, 25))]
-        edges, counts = score_histogram(trials, bins=12)
+        report = evaluate_system(trials, bins=12)
+        edges, counts = report.histogram_edges, report.histogram_counts
         assert len(edges) == 13
         assert counts["target"].sum() == 40
         assert counts["spoof"].sum() == 25
@@ -214,13 +214,14 @@ class TestHistogram:
 
     def test_identical_scores_get_padded_range(self):
         trials = [scored("target", 0.5, i) for i in range(4)]
-        edges, counts = score_histogram(trials, bins=4)
+        report = evaluate_system(trials, bins=4)
+        edges, counts = report.histogram_edges, report.histogram_counts
         assert edges[0] < 0.5 < edges[-1]
         assert counts["target"].sum() == 4
 
     def test_bad_bins_rejected(self):
         with pytest.raises(ValueError):
-            score_histogram([scored("target", 0.1)], bins=0)
+            evaluate_system([scored("target", 0.1)], bins=0)
 
 
 class TestReportFormatting:

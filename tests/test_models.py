@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,10 +8,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sasvkit.data import EmbeddingStore
-from sasvkit.metrics import evaluate_system
+from sasvkit.data import EmbeddingStore, TrialList, parse_trial_list
+from sasvkit.metrics import (
+    evaluate_system,
+    format_histogram_csv,
+    format_report_csv,
+    format_report_text,
+)
 from sasvkit.models import (
     Baseline2Model,
+    Mlp,
     IepModel,
     MsfmModel,
     PairBatch,
@@ -35,7 +42,15 @@ from sasvkit.models import (
     triplet_loss,
 )
 from sasvkit.cli import main
-from sasvkit.neuralcore import Elu, TrainConfig, grad_check, optimizer_step
+from sasvkit.neuralcore import (
+    Elu,
+    FullyConnected,
+    MlpParams,
+    MlpSpec,
+    TrainConfig,
+    grad_check,
+    optimizer_step,
+)
 from sasvkit.sampling import SynthConfig, generate_synthetic
 from sasvkit.data import TrialRecord
 
@@ -568,7 +583,7 @@ class TestGatherOnceScoring:
         # gives each trial its own enrollment and test rows
         trials, asv, cm = shared_item_trials()
         system = untrained(name)
-        tables, _ = _trial_arrays(trials, asv, cm)
+        tables, _ = _trial_arrays(TrialList.from_records(trials), asv, cm)
         e, k = tables.enroll_index, tables.test_index
         assert len(tables.enroll_asv) == 45 and len(tables.test_asv) == 50
         per_trial = one_to_one(tables.enroll_asv[e], tables.enroll_cm[e],
@@ -599,6 +614,94 @@ class TestGatherOnceScoring:
         with pytest.raises(KeyError) as err:
             score_trials("baseline1", trials, asv, cm)
         assert err.value.args[0] == "3 embedding(s) missing: ghost (asv), ghost (cm), lost (asv)"
+
+
+def parsed_trials(trials):
+    """The same trials as a trial list parsed from text."""
+    enrollment = {t.enroll_speaker_id: t.enroll_utterance_ids for t in trials}
+    text = "".join(f"{t.enroll_speaker_id} {t.test_utterance_id} {t.label}\n" for t in trials)
+    return parse_trial_list(text, enrollment)
+
+
+class TestColumnarScoring:
+    @pytest.mark.parametrize("name", [*SYSTEMS, "asv-only"])
+    def test_parsed_list_and_records_score_the_same_bytes(self, name):
+        trials, asv, cm = shared_item_trials()
+        system = untrained(name)
+        parsed = parsed_trials(trials)
+        assert list(parsed) == trials
+        from_list = score_trials(system, trials, asv, cm)
+        from_columns = score_trials(system, parsed, asv, cm)
+        assert from_columns.scores.tobytes() == from_list.scores.tobytes()
+        assert from_columns.cm_fallbacks == from_list.cm_fallbacks == 1
+        assert [s.trial for s in from_columns] == trials
+
+    def test_evaluate_system_on_columns_and_on_a_list_agree(self):
+        trials, asv, cm = shared_item_trials()
+        scored = score_trials("baseline1", parsed_trials(trials), asv, cm)
+        columnar, listed = evaluate_system(scored, bins=7), evaluate_system(list(scored), bins=7)
+        for fmt in (format_report_text, format_report_csv, format_histogram_csv):
+            assert fmt(columnar) == fmt(listed)
+        assert columnar.label_counts == listed.label_counts
+        assert columnar.eer_percent == listed.eer_percent
+
+    def test_empty_list_scores_nothing(self):
+        asv, cm = tiny_stores()
+        scored = score_trials("baseline1", parse_trial_list("", {}), asv, cm)
+        assert len(scored) == 0 and scored == []
+
+
+def two_layer_baseline2(first_bias: float, second_weight: float) -> Baseline2Model:
+    """A baseline2 model on 6-dim ASV and 5-dim CM stores with one ELU layer."""
+    spec = MlpSpec((FullyConnected(17, 4), Elu(), FullyConnected(4, 2)))
+    params = MlpParams.zeros(spec)
+    params.biases[0][:] = first_bias
+    params.weights[1][:] = second_weight
+    return Baseline2Model(Mlp(spec, params), asv_dim=6, cm_dim=5)
+
+
+def hidden_minus_inf_baseline2() -> Baseline2Model:
+    """A baseline2 model whose second layer's output is -inf on every row.
+
+    The first ELU outputs 1 everywhere, four products of -1e308 sum to -inf,
+    the second ELU maps -inf to -1, and the output layer reads finite -4.
+    """
+    spec = MlpSpec((FullyConnected(17, 4), Elu(), FullyConnected(4, 4), Elu(),
+                    FullyConnected(4, 2)))
+    params = MlpParams.zeros(spec)
+    params.biases[0][:] = 1.0
+    params.weights[1][:] = -1e308
+    params.weights[2][:] = 1.0
+    return Baseline2Model(Mlp(spec, params), asv_dim=6, cm_dim=5)
+
+
+class TestOverflowingWeights:
+    def test_hidden_overflow_to_minus_inf_is_named(self):
+        trials, asv, cm = shared_item_trials()
+        model = hidden_minus_inf_baseline2()
+        with np.errstate(all="ignore"):
+            out, _ = model.mlp.forward(np.ones((3, 17)))
+        assert np.isfinite(out).all()  # an output check alone would miss it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^activations of block mlp overflowed$"):
+                score_trials(model, trials, asv, cm)
+
+    def test_overflowed_block_is_named(self):
+        trials, asv, cm = shared_item_trials()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^activations of block mlp overflowed$"):
+                score_trials(two_layer_baseline2(1e308, 1.0), trials, asv, cm)
+
+    def test_large_elu_input_is_no_overflow(self):
+        # every ELU input is 1e300: expm1 overflows, but the positive branch
+        # is the one the ELU takes, and the next layer brings it back to ~1
+        trials, asv, cm = shared_item_trials()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scored = score_trials(two_layer_baseline2(1e300, 1e-300), trials, asv, cm)
+        assert np.isfinite(scored.scores).all()
 
 
 def checkpoint_bytes(header, payload: bytes) -> bytes:
