@@ -27,6 +27,7 @@ import sys
 from pathlib import Path
 
 from .data import (
+    EmbeddingStore,
     TrialList,
     load_embedding_store,
     parse_cm_protocol,
@@ -240,10 +241,23 @@ def _log_eers(command: str, report) -> None:
             _LOG.info("%s: %s EER %.2f%%", command, metric.upper(), eer)
 
 
+def _check_corpus_fits(config: SynthConfig) -> None:
+    """Refuse a corpus whose two embedding stores exceed physical memory."""
+    rows = config.n_speakers * (config.utts_per_speaker + config.spoofs_per_speaker)
+    need = sum(EmbeddingStore.grown_bytes(rows, d) for d in (config.asv_dim, config.cm_dim))
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise UsageError(
+            f"n_speakers={config.n_speakers}: the embedding stores would need "
+            f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of memory"
+        )
+
+
 def cmd_synth(args: argparse.Namespace) -> None:
     settings = _merge_settings(args, _SYNTH_KEYS, ("seed", "out"))
     out = _out_dir(settings, "synth")
     config = _build_dataclass(SynthConfig, settings)
+    _check_corpus_fits(config)
     dataset = generate_synthetic(config)
     write_protocol(dataset.train_records, out / "protocol.txt")
     write_enrollment_map(dataset.enrollment, out / "enrollment.txt")

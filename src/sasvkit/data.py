@@ -108,6 +108,11 @@ class EmbeddingStore:
         store._matrix = matrix.astype(np.float32, copy=False).astype(np.float64)
         return store
 
+    @staticmethod
+    def grown_bytes(rows: int, dim: int) -> int:
+        """Size of the matrix that ``add`` grows, by doubling, to hold ``rows``."""
+        return 8 * dim * max(16, 1 << (rows - 1).bit_length())
+
     def add(self, utterance_id: str, vector) -> None:
         if not utterance_id:
             raise ValueError("utterance id must be non-empty")

@@ -58,38 +58,29 @@ PROJECTION_DIM = 128
 
 @dataclass
 class Mlp:
-    """A spec bound to its parameters."""
+    """A spec bound to its parameters, which are checked once, here."""
 
     spec: MlpSpec
     params: MlpParams
 
+    def __post_init__(self):
+        self.params.validate_for(self.spec)
+
     @classmethod
     def init(cls, spec: MlpSpec, rng: np.random.Generator) -> "Mlp":
         return cls(spec, MlpParams.init(spec, rng))
-
-    def forward(self, x, check_finite: bool = False):
-        return mlp_forward(self.spec, self.params, x, check_finite)
 
     def backward(self, tape, grad_out):
         return mlp_backward(self.spec, self.params, tape, grad_out)
 
 
 def _forward(model, block: str, x) -> tuple:
-    return getattr(model, block).forward(x)
-
-
-def _scoring_forward(model, block: str, x) -> tuple:
-    """Forward of a loaded block, whose weights may be finite but too large.
-
-    A layer output that overflowed is an error naming the block. NumPy's
-    warnings are silenced: a large input to an ELU overflows only the
-    negative branch that it does not take, which is no error.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return getattr(model, block).forward(x, check_finite=True)
-        except FloatingPointError:
-            raise ValueError(f"activations of block {block} overflowed") from None
+    """Output and tape of one block; an overflowing layer is an error naming the block."""
+    net = getattr(model, block)
+    try:
+        return mlp_forward(net.spec, net.params, x)
+    except NonFiniteError:
+        raise NonFiniteError(f"activations of block {block} overflowed") from None
 
 
 def _encoder_spec(in_dim: int) -> MlpSpec:
@@ -246,7 +237,7 @@ class MsfmModel:
 
     def score_batch(self, tables: TrialTables) -> np.ndarray:
         """Fused target probability of each trial."""
-        _, _, v, _ = _msfm_pass(self, tables, _scoring_forward)
+        _, _, v, _ = _msfm_pass(self, tables)
         return softmax(v)[:, 1]
 
 
@@ -270,18 +261,17 @@ def make_msfm(
     )
 
 
-def _msfm_pass(model: MsfmModel, t: TrialTables, forward=_forward):
+def _msfm_pass(model: MsfmModel, t: TrialTables):
     """Speaker-match logits, their softmax, fusion logits, and the four tapes.
 
     The encoders see the table rows; the heads see one row per trial.
-    ``forward(model, block, x)`` runs one block.
     """
     e, k = t.enroll_index, t.test_index
     enroll_in = np.column_stack([_unit_rows(t.enroll_asv), _unit_rows(t.enroll_cm)])
     test_in = np.column_stack([_unit_rows(t.test_asv), _unit_rows(t.test_cm)])
-    enc_e, tape_e = forward(model, "enroll_encoder", enroll_in)
-    enc_t, tape_t = forward(model, "test_encoder", test_in)
-    s, tape_s = forward(model, "verification_head", np.column_stack([enc_e[e], enc_t[k]]))
+    enc_e, tape_e = _forward(model, "enroll_encoder", enroll_in)
+    enc_t, tape_t = _forward(model, "test_encoder", test_in)
+    s, tape_s = _forward(model, "verification_head", np.column_stack([enc_e[e], enc_t[k]]))
     p_s = softmax(s)
     columns = [
         _pair_cosine(t.enroll_asv, t.test_asv, e, k),
@@ -289,7 +279,7 @@ def _msfm_pass(model: MsfmModel, t: TrialTables, forward=_forward):
     ]
     if model.use_sssv_score:
         columns.append(p_s[:, 1])
-    v, tape_v = forward(model, "fusion_head", np.column_stack(columns))
+    v, tape_v = _forward(model, "fusion_head", np.column_stack(columns))
     return s, p_s, v, (tape_e, tape_t, tape_s, tape_v)
 
 
@@ -409,7 +399,7 @@ def _fit(model, config: TrainConfig, batch_size: int, names: tuple,
                 state = optimizer_step(tensors, grads, config, state)
             except NonFiniteError as exc:
                 raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, step {step}"
+                    f"non-finite values at epoch {epoch}, step {step}: {exc}"
                 ) from exc
             for i, loss in enumerate(losses):
                 sums[i] += loss * len(chunk)
@@ -483,17 +473,22 @@ def make_iep(
     )
 
 
-def iep_project(model: IepModel, asv_rows: np.ndarray, cm_rows: np.ndarray) -> np.ndarray:
-    """Project rows of utterances into the scoring space.
+def _iep_pass(model: IepModel, asv_rows: np.ndarray, cm_rows: np.ndarray) -> tuple:
+    """Projections of rows of utterances, plus the trunk and projector tapes.
 
     The projector head sees the trunk features next to the raw embeddings,
     so the output keeps a direct linear path from its inputs.
     """
     x = _unit_rows(asv_rows)
     y = _unit_rows(cm_rows)
-    h, _ = _scoring_forward(model, "trunk", np.column_stack([x, y]))
-    z, _ = _scoring_forward(model, "projector", np.column_stack([h, x, y]))
-    return z
+    h, tape_h = _forward(model, "trunk", np.column_stack([x, y]))
+    z, tape_z = _forward(model, "projector", np.column_stack([h, x, y]))
+    return z, tape_h, tape_z
+
+
+def iep_project(model: IepModel, asv_rows: np.ndarray, cm_rows: np.ndarray) -> np.ndarray:
+    """Project rows of utterances into the scoring space."""
+    return _iep_pass(model, asv_rows, cm_rows)[0]
 
 
 def triplet_loss(anchors, positives, negatives, margin: float) -> float:
@@ -527,10 +522,10 @@ def iep_batch_loss(model: IepModel, anchor_asv, anchor_cm, positive_asv, positiv
                    compute_grads: bool = True) -> tuple:
     """Triplet loss over raw embeddings, with gradients for model.tensors()."""
     c = anchor_asv.shape[0]
-    x = _unit_rows(np.vstack([anchor_asv, positive_asv, negative_asv]))
-    y = _unit_rows(np.vstack([anchor_cm, positive_cm, negative_cm]))
-    h, tape_h = model.trunk.forward(np.column_stack([x, y]))
-    z, tape_z = model.projector.forward(np.column_stack([h, x, y]))
+    z, tape_h, tape_z = _iep_pass(
+        model, np.vstack([anchor_asv, positive_asv, negative_asv]),
+        np.vstack([anchor_cm, positive_cm, negative_cm]),
+    )
     norms = np.linalg.norm(z, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("a projected embedding collapsed to the zero vector")
@@ -591,15 +586,19 @@ class Baseline2Model:
         return self.mlp.params.tensors()
 
     def score_batch(self, t: TrialTables) -> np.ndarray:
-        # the enrollment CM embedding is not part of this system's input
-        e, k = t.enroll_index, t.test_index
-        v, _ = _scoring_forward(
-            self, "mlp", np.column_stack(
-                [_unit_rows(t.enroll_asv[e]), _unit_rows(t.test_asv[k]),
-                 _unit_rows(t.test_cm[k])]
-            )
-        )
+        v, _ = _forward(self, "mlp", _baseline2_input(t, t.enroll_index, t.test_index))
         return softmax(v)[:, 1]
+
+
+def _baseline2_input(t, e=slice(None), k=slice(None)) -> np.ndarray:
+    """Unit-length enrollment ASV, test ASV and test CM rows, one trial a row.
+
+    Trial i reads rows ``e[i]`` and ``k[i]`` of a TrialTables or PairBatch;
+    each gather is normalized before the next. Enrollment CM is no input.
+    """
+    return np.column_stack(
+        [_unit_rows(t.enroll_asv[e]), _unit_rows(t.test_asv[k]), _unit_rows(t.test_cm[k])]
+    )
 
 
 def make_baseline2(
@@ -619,10 +618,7 @@ def make_baseline2(
 def baseline2_batch_loss(model: Baseline2Model, batch: PairBatch,
                          compute_grads: bool = True) -> tuple:
     n = batch.enroll_asv.shape[0]
-    x = np.column_stack(
-        [_unit_rows(batch.enroll_asv), _unit_rows(batch.test_asv), _unit_rows(batch.test_cm)]
-    )
-    v, tape = model.mlp.forward(x)
+    v, tape = _forward(model, "mlp", _baseline2_input(batch))
     loss = float(_row_cce(v, batch.sasv_target).mean())
     if not compute_grads:
         return loss, None
@@ -779,13 +775,8 @@ def system_name(model) -> str:
 
 
 def _spec_to_json(spec: MlpSpec) -> list:
-    out = []
-    for layer in spec.layers:
-        if isinstance(layer, FullyConnected):
-            out.append(["fc", layer.in_dim, layer.out_dim])
-        else:
-            out.append(["elu"])
-    return out
+    return [["fc", l.in_dim, l.out_dim] if isinstance(l, FullyConnected) else ["elu"]
+            for l in spec.layers]
 
 
 def _spec_from_json(desc: list) -> MlpSpec:
@@ -873,9 +864,10 @@ def load_model(path):
             flat = np.frombuffer(raw, dtype="<f8", count=tensor.size, offset=offset)
             tensor[...] = flat.reshape(tensor.shape)
             offset += tensor.nbytes
-        if not all(np.isfinite(tensor).all() for tensor in params.tensors()):
-            raise ValueError(f"checkpoint block {name} holds non-finite parameters")
-        blocks[name] = Mlp(spec, params)
+        try:
+            blocks[name] = Mlp(spec, params)
+        except NonFiniteError:
+            raise ValueError(f"checkpoint block {name} holds non-finite parameters") from None
     extra = {key: typ(header[key]) for key, typ in system.header.items()}
     return system.model_class(
         **blocks, **extra, asv_dim=header["asv_dim"], cm_dim=header["cm_dim"]

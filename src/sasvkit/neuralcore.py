@@ -3,8 +3,11 @@
 Networks are described by an :class:`MlpSpec` (an ordered sequence of
 fully-connected and ELU layers) whose parameters live in a separate
 :class:`MlpParams`, so one architecture can be instantiated many times.
-Everything runs in double precision; inputs may be single vectors of shape
-``(d,)`` or batches of shape ``(n, d)``.
+Everything runs in double precision on batches of shape ``(n, d)``. A
+network's parameters are checked against its spec once, when the network is
+built (:meth:`MlpParams.validate_for`, called by ``models.Mlp``); every
+forward pass then checks the output of each fully-connected layer, which
+also catches a non-finite parameter.
 
 The module also carries the training utilities shared by the back-ends:
 softmax / categorical cross-entropy, SGD and Adam steps, and a central
@@ -24,7 +27,6 @@ __all__ = [
     "Elu",
     "MlpSpec",
     "MlpParams",
-    "Tape",
     "TrainConfig",
     "OptimizerState",
     "mlp_forward",
@@ -89,11 +91,7 @@ class MlpSpec:
 
     @property
     def output_dim(self) -> int:
-        dim = None
-        for layer in self.layers:
-            if isinstance(layer, FullyConnected):
-                dim = layer.out_dim
-        return dim
+        return self.fc_layers[-1].out_dim
 
     @property
     def fc_layers(self) -> tuple:
@@ -139,6 +137,7 @@ class MlpParams:
         return cls(weights, biases)
 
     def validate_for(self, spec: MlpSpec) -> None:
+        """Check shapes against ``spec``; a non-finite value is a NonFiniteError."""
         fcs = spec.fc_layers
         if len(self.weights) != len(fcs) or len(self.biases) != len(fcs):
             raise ValueError(
@@ -156,15 +155,11 @@ class MlpParams:
                     f"linear layer {i}: bias shape {b.shape} != ({layer.out_dim},)"
                 )
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"linear layer {i}: non-finite parameters")
+                raise NonFiniteError(f"linear layer {i}: non-finite parameters")
 
     def tensors(self) -> list:
         """Flat list [W0, b0, W1, b1, ...]; views, not copies."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [t for pair in zip(self.weights, self.biases) for t in pair]
 
 
 def _elu_backward(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -172,66 +167,52 @@ def _elu_backward(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
     return grad * np.where(out > 0, 1.0, out + 1.0)
 
 
-@dataclass
-class Tape:
-    """Intermediate values recorded by mlp_forward for the backward pass."""
+def mlp_forward(spec: MlpSpec, params: MlpParams, x) -> tuple:
+    """Run the network on a batch of rows; return the output and the tape.
 
-    entries: list
-    single: bool
-
-
-def mlp_forward(spec: MlpSpec, params: MlpParams, x, check_finite: bool = False) -> tuple:
-    """Run the network, returning the output and the activation tape.
-
-    With ``check_finite`` a fully connected layer whose output holds an inf
-    or a nan raises FloatingPointError naming the layer. The check must see
-    every such layer: an ELU turns -inf into a finite -1.
+    The tape lists what the backward pass reads: the input of each
+    fully-connected layer and the output of each ELU. A fully-connected layer
+    whose output holds an inf or a nan raises NonFiniteError naming the layer.
+    Every such layer is checked, since an ELU turns -inf into a finite -1.
+    NumPy's warnings are silenced: a large input to an ELU overflows only the
+    negative branch that it does not take, which is no error.
     """
-    params.validate_for(spec)
     arr = _as_f64(x, "network input")
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
     if arr.ndim != 2:
-        raise ValueError(f"expected a vector or a batch of vectors, got shape {arr.shape}")
+        raise ValueError(f"expected a batch of shape (n, d), got shape {arr.shape}")
     if arr.shape[1] != spec.input_dim:
         raise ValueError(
             f"layer 0: expected input dim {spec.input_dim}, got {arr.shape[1]}"
         )
-    entries = []
+    tape = []
     fc_index = 0
-    for i, layer in enumerate(spec.layers):
-        if isinstance(layer, FullyConnected):
-            if arr.shape[1] != layer.in_dim:
-                raise ValueError(
-                    f"layer {i}: expected input dim {layer.in_dim}, got {arr.shape[1]}"
-                )
-            entries.append(("fc", arr))
-            arr = arr @ params.weights[fc_index].T + params.biases[fc_index]
-            fc_index += 1
-            # min and max propagate nan and read arr without a temporary
-            if check_finite and arr.size and not (np.isfinite(arr.min())
-                                                  and np.isfinite(arr.max())):
-                raise FloatingPointError(f"layer {i} overflowed")
-        else:
-            arr = np.where(arr > 0, arr, np.expm1(arr))
-            entries.append(("elu", arr))
-    out = arr[0] if single else arr
-    return out, Tape(entries, single)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, layer in enumerate(spec.layers):
+            if isinstance(layer, FullyConnected):
+                tape.append(("fc", arr))
+                arr = arr @ params.weights[fc_index].T + params.biases[fc_index]
+                fc_index += 1
+                # min and max propagate nan and read arr without a temporary
+                if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+                    raise NonFiniteError(f"layer {i} overflowed")
+            else:
+                arr = np.where(arr > 0, arr, np.expm1(arr))
+                tape.append(("elu", arr))
+    return arr, tape
 
 
-def mlp_backward(spec: MlpSpec, params: MlpParams, tape: Tape, grad_out) -> tuple:
-    """Backpropagate grad_out through the taped forward pass.
+def mlp_backward(spec: MlpSpec, params: MlpParams, tape: list, grad_out) -> tuple:
+    """Backpropagate a batch of output gradients through the taped forward pass.
 
     Returns ``(grads, grad_input)`` where grads is an MlpParams-shaped
-    container. Batch inputs accumulate parameter gradients over the batch.
+    container holding the parameter gradients summed over the batch.
     """
     grad = np.asarray(grad_out, dtype=np.float64)
-    if tape.single:
-        grad = grad[None, :]
+    if grad.ndim != 2:
+        raise ValueError(f"expected a batch of shape (n, d), got shape {grad.shape}")
     grads = MlpParams.zeros(spec)
     fc_index = len(grads.weights)
-    for layer, (kind, value) in zip(reversed(spec.layers), reversed(tape.entries)):
+    for kind, value in reversed(tape):
         if kind == "fc":
             fc_index -= 1
             grads.weights[fc_index] = grad.T @ value
@@ -239,7 +220,7 @@ def mlp_backward(spec: MlpSpec, params: MlpParams, tape: Tape, grad_out) -> tupl
             grad = grad @ params.weights[fc_index]
         else:
             grad = _elu_backward(grad, value)
-    return grads, (grad[0] if tape.single else grad)
+    return grads, grad
 
 
 def softmax(logits) -> np.ndarray:

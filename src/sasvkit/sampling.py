@@ -18,7 +18,7 @@ Gaussian clusters (bonafide vs. spoof) regardless of speaker.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -283,6 +283,9 @@ class SynthConfig:
     nontarget_neighbors: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.n_speakers < 2:
             raise ValueError("need at least 2 speakers to form nontarget trials")
         if self.enroll_per_speaker < 1:

@@ -1,4 +1,5 @@
 import re
+import resource
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -419,6 +420,10 @@ class TestConfigPlumbing:
             ("train", "learning_rate", "nan"),
             ("train", "epsilon", "inf"),
             ("train", "seed", "-1"),
+            ("synth", "asv_channel_scale", "nan"),
+            ("synth", "asv_noise", "nan"),
+            ("synth", "cm_separation", "inf"),
+            ("synth", "cm_speaker_scale", "inf"),
         ],
     )
     def test_non_finite_or_negative_setting_is_one_line(
@@ -430,6 +435,22 @@ class TestConfigPlumbing:
         assert result.returncode == 2
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and setting in lines[0], result.stderr
+
+    def test_corpus_too_large_for_memory_is_refused_before_allocating(self, tmp_path,
+                                                                        run_cli, monkeypatch):
+        # capping the address space makes a regression that allocates first
+        # fail with MemoryError instead of exhausting the machine's memory;
+        # one BLAS thread keeps OpenBLAS's per-thread buffers under the cap
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        cap = 4 << 30
+        result = run_cli(
+            "synth", "--out", tmp_path / "x", "--set", "n_speakers=100000000",
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            timeout=120,
+        )
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and "n_speakers" in lines[0], result.stderr
 
     def test_bad_log_level_is_a_usage_error(self, monkeypatch, tmp_path):
         monkeypatch.setenv("SASV_LOG", "chatty")
@@ -562,3 +583,21 @@ class TestOverflowingCheckpoint:
         lines = result.stderr.splitlines()
         assert len(lines) == 1, result.stderr
         assert re.fullmatch(r"ERROR sasvkit: activations of block \w+ overflowed", lines[0])
+
+
+class TestOverflowingTraining:
+    def test_train_names_the_epoch_step_and_block(self, corpus, tmp_path, run_cli,
+                                                  monkeypatch):
+        # the first step leaves weights near 1e308; the second step's forward
+        # pass overflows in the trunk
+        monkeypatch.setenv("SASV_LOG", "error")
+        result = run_cli("train", "--model", "iep", "--asv-store", corpus / "asv.emb",
+                         "--cm-store", corpus / "cm.emb", "--protocol", corpus / "protocol.txt",
+                         "--out", tmp_path / "train", "--set", "learning_rate=1e308",
+                         "--set", "epochs=1", "--set", "samples_per_epoch=64")
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert lines == [
+            "ERROR sasvkit: non-finite values at epoch 0, step 1: "
+            "activations of block trunk overflowed"
+        ], result.stderr

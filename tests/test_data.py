@@ -235,6 +235,12 @@ class TestEmbeddingStore:
         store.add("U1", [value])
         assert store.get("U1")[0] == np.float64(np.float32(value))
 
+    def test_grown_bytes_is_the_size_add_grows_to(self):
+        store = EmbeddingStore(3, "asv")
+        for rows in range(1, 40):
+            store.add(f"U{rows}", [1.0, 2.0, 3.0])
+            assert EmbeddingStore.grown_bytes(rows, 3) == store._matrix.nbytes, rows
+
     def test_mean_vector(self):
         store = EmbeddingStore(2, "cm")
         store.add("A", [1.0, 0.0])

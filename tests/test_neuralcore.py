@@ -23,6 +23,7 @@ from sasvkit.neuralcore import (
     optimizer_step,
     softmax,
 )
+from sasvkit.models import Mlp
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -67,13 +68,13 @@ class TestDenseForward:
     def test_identity(self):
         w = np.eye(3)
         b = np.zeros(3)
-        x = np.array([1.0, -2.0, 3.0])
+        x = np.array([[1.0, -2.0, 3.0]])
         np.testing.assert_array_equal(dense(w, b, x), x)
 
     def test_affine(self):
         w = np.array([[1.0, 1.0]])
         b = np.array([0.5])
-        np.testing.assert_array_equal(dense(w, b, np.array([1.0, 2.0])), [3.5])
+        np.testing.assert_array_equal(dense(w, b, np.array([[1.0, 2.0]])), [[3.5]])
 
     def test_batch(self):
         w = np.array([[2.0, 0.0], [0.0, 1.0]])
@@ -82,8 +83,10 @@ class TestDenseForward:
         np.testing.assert_array_equal(dense(w, b, x), [[3.0, 1.0], [1.0, 3.0]])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            dense(np.zeros((2, 3)), np.zeros(2), np.zeros(4))
+        # a row of the wrong width, and a single vector where a batch is expected
+        for x in (np.zeros((1, 4)), np.zeros(3)):
+            with pytest.raises(ValueError):
+                dense(np.zeros((2, 3)), np.zeros(2), x)
 
 
 class TestSpecValidation:
@@ -109,7 +112,7 @@ class TestSpecValidation:
         params = MlpParams.zeros(spec)
         params.weights[0] = np.zeros((2, 5))
         with pytest.raises(ValueError):
-            mlp_forward(spec, params, np.zeros(4))
+            Mlp(spec, params)
 
 
 class TestMlpForward:
@@ -118,9 +121,8 @@ class TestMlpForward:
         params = MlpParams(
             weights=[np.array([[1.0, 0.0], [1.0, 1.0]])], biases=[np.array([0.0, -1.0])]
         )
-        out, tape = mlp_forward(spec, params, np.array([2.0, 3.0]))
-        np.testing.assert_array_equal(out, [2.0, 4.0])
-        assert tape.single
+        out, _ = mlp_forward(spec, params, np.array([[2.0, 3.0]]))
+        np.testing.assert_array_equal(out, [[2.0, 4.0]])
 
     def test_elu_applied_between_layers(self):
         spec = MlpSpec((FullyConnected(1, 1), Elu(), FullyConnected(1, 1)))
@@ -128,8 +130,8 @@ class TestMlpForward:
             weights=[np.array([[1.0]]), np.array([[2.0]])],
             biases=[np.array([0.0]), np.array([0.0])],
         )
-        out, _ = mlp_forward(spec, params, np.array([-1.0]))
-        np.testing.assert_allclose(out, [2.0 * math.expm1(-1.0)])
+        out, _ = mlp_forward(spec, params, np.array([[-1.0]]))
+        np.testing.assert_allclose(out, [[2.0 * math.expm1(-1.0)]])
 
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(7)
@@ -140,15 +142,15 @@ class TestMlpForward:
         xs = rng.standard_normal((6, 5))
         batch_out, _ = mlp_forward(spec, params, xs)
         for i in range(6):
-            single_out, _ = mlp_forward(spec, params, xs[i])
-            # batched and single-vector BLAS paths may differ in the last ulp
-            np.testing.assert_allclose(batch_out[i], single_out, atol=1e-12)
+            single_out, _ = mlp_forward(spec, params, xs[i : i + 1])
+            # BLAS may take another kernel for one row, differing in the last ulp
+            np.testing.assert_allclose(batch_out[i], single_out[0], atol=1e-12)
 
     def test_wrong_input_dim_names_layer(self):
         spec = MlpSpec((FullyConnected(4, 2),))
         params = MlpParams.zeros(spec)
         with pytest.raises(ValueError, match="layer 0"):
-            mlp_forward(spec, params, np.zeros(3))
+            mlp_forward(spec, params, np.zeros((1, 3)))
 
 
 class TestSoftmax:
@@ -231,12 +233,12 @@ class TestBackward:
         # loss = y[0] for y = Wx + b, so dW row 0 is x and db is [1, 0]
         spec = MlpSpec((FullyConnected(3, 2),))
         params = MlpParams.zeros(spec)
-        x = np.array([1.0, 2.0, 3.0])
+        x = np.array([[1.0, 2.0, 3.0]])
         _, tape = mlp_forward(spec, params, x)
-        grads, dx = mlp_backward(spec, params, tape, np.array([1.0, 0.0]))
+        grads, dx = mlp_backward(spec, params, tape, np.array([[1.0, 0.0]]))
         np.testing.assert_array_equal(grads.weights[0], [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
         np.testing.assert_array_equal(grads.biases[0], [1.0, 0.0])
-        np.testing.assert_array_equal(dx, np.zeros(3))
+        np.testing.assert_array_equal(dx, np.zeros((1, 3)))
 
     def test_matches_numeric_gradient_small_net(self):
         rng = np.random.default_rng(11)
@@ -244,12 +246,12 @@ class TestBackward:
             (FullyConnected(4, 6), Elu(), FullyConnected(6, 5), Elu(), FullyConnected(5, 3))
         )
         params = MlpParams.init(spec, rng)
-        x = rng.standard_normal(4)
+        x = rng.standard_normal((1, 4))
         target = np.array([0.0, 1.0, 0.0])
 
         def loss_fn():
             out, _ = mlp_forward(spec, params, x)
-            return cce_loss(out, target)
+            return cce_loss(out[0], target)
 
         out, tape = mlp_forward(spec, params, x)
         dlogits = softmax(out) - target
@@ -268,8 +270,8 @@ class TestBackward:
         batch_grads, _ = mlp_backward(spec, params, tape, douts)
         summed = [np.zeros_like(t) for t in params.tensors()]
         for i in range(5):
-            _, tape_i = mlp_forward(spec, params, xs[i])
-            g, _ = mlp_backward(spec, params, tape_i, douts[i])
+            _, tape_i = mlp_forward(spec, params, xs[i : i + 1])
+            g, _ = mlp_backward(spec, params, tape_i, douts[i : i + 1])
             for acc, t in zip(summed, g.tensors()):
                 acc += t
         for a, b in zip(batch_grads.tensors(), summed):
@@ -279,14 +281,14 @@ class TestBackward:
         rng = np.random.default_rng(17)
         spec = MlpSpec((FullyConnected(3, 3), Elu(), FullyConnected(3, 1)))
         params = MlpParams.init(spec, rng)
-        x = rng.standard_normal(3)
+        x = rng.standard_normal((1, 3))
 
         def loss_fn():
             out, _ = mlp_forward(spec, params, x)
-            return float(out[0])
+            return float(out[0, 0])
 
         _, tape = mlp_forward(spec, params, x)
-        _, dx = mlp_backward(spec, params, tape, np.array([1.0]))
+        _, dx = mlp_backward(spec, params, tape, np.array([[1.0]]))
         numeric = _numeric_gradient(loss_fn, [x])[0]
         np.testing.assert_allclose(dx, numeric, atol=1e-8)
 
@@ -431,7 +433,7 @@ class TestGradCheck:
     def test_quadratic_loss_is_exact(self):
         spec = MlpSpec((FullyConnected(3, 3),))
         params = MlpParams(weights=[np.eye(3)], biases=[np.zeros(3)])
-        x = np.array([1.0, 2.0, -1.0])
+        x = np.array([[1.0, 2.0, -1.0]])
         target = np.array([0.5, -0.5, 2.0])
 
         def loss_fn():
@@ -449,12 +451,12 @@ class TestGradCheck:
             (FullyConnected(16, 12), Elu(), FullyConnected(12, 8), Elu(), FullyConnected(8, 4))
         )
         params = MlpParams.init(spec, rng)
-        x = rng.standard_normal(16)
+        x = rng.standard_normal((1, 16))
         target = np.array([0.0, 0.0, 1.0, 0.0])
 
         def loss_fn():
             out, _ = mlp_forward(spec, params, x)
-            return cce_loss(out, target)
+            return cce_loss(out[0], target)
 
         out, tape = mlp_forward(spec, params, x)
         analytic, _ = mlp_backward(spec, params, tape, softmax(out) - target)
@@ -465,12 +467,12 @@ class TestGradCheck:
         rng = np.random.default_rng(29)
         spec = MlpSpec((FullyConnected(6, 4), Elu(), FullyConnected(4, 2)))
         params = MlpParams.init(spec, rng)
-        x = rng.standard_normal(6)
+        x = rng.standard_normal((1, 6))
         target = np.array([1.0, 0.0])
 
         def loss_fn():
             out, _ = mlp_forward(spec, params, x)
-            return cce_loss(out, target)
+            return cce_loss(out[0], target)
 
         out, tape = mlp_forward(spec, params, x)
         analytic, _ = mlp_backward(spec, params, tape, softmax(out) - target)
@@ -483,12 +485,12 @@ class TestGradCheck:
         rng = np.random.default_rng(31)
         spec = MlpSpec((FullyConnected(40, 30), Elu(), FullyConnected(30, 2)))
         params = MlpParams.init(spec, rng)
-        x = rng.standard_normal(40)
+        x = rng.standard_normal((1, 40))
         target = np.array([0.0, 1.0])
 
         def loss_fn():
             out, _ = mlp_forward(spec, params, x)
-            return cce_loss(out, target)
+            return cce_loss(out[0], target)
 
         out, tape = mlp_forward(spec, params, x)
         analytic, _ = mlp_backward(spec, params, tape, softmax(out) - target)
