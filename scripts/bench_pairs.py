@@ -5,7 +5,7 @@ Run from the root of a sasvkit checkout; the working tree is the change:
     python3 scripts/bench_pairs.py --parent HEAD~1 --workload train-wide \
         --seeds 1 2 3 4 5 6 7 8 9 --out BENCH_7.json
 
-The parent revision is checked out with ``git worktree`` into a temporary
+The parent revision is exported with ``git archive`` into a temporary
 directory, which is removed afterwards. For every workload and seed the script
 runs ``benchmark/run.py --trace 0`` once on each side, for the ``run_seconds``
 that ``BENCHMARK.json`` sets, the parent first on
@@ -32,11 +32,13 @@ holds the same files prints the same hash.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -48,6 +50,14 @@ TAIL_LINES = 20  # output lines kept from a failed run
 def git(*args, cwd: Path, env=None) -> str:
     return subprocess.run(["git", *args], cwd=cwd, env=env, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def export(rev: str, dest: Path, cwd: Path) -> None:
+    """Write the files of ``rev`` into ``dest``."""
+    archive = subprocess.run(["git", "archive", rev], cwd=cwd, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
 
 
 def trees(checkout: Path, rev: str | None) -> dict:
@@ -176,11 +186,8 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory() as tmp:
         parent = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent), parent_rev, cwd=change)
-        try:
-            record["workloads"] = run_pairs(args, parent, change, better, spec["run_seconds"])
-        finally:
-            git("worktree", "remove", "--force", str(parent), cwd=change)
+        export(parent_rev, parent, change)
+        record["workloads"] = run_pairs(args, parent, change, better, spec["run_seconds"])
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
     return 0

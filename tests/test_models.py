@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sasvkit import models
 from sasvkit.data import EmbeddingStore, TrialList, parse_trial_list
 from sasvkit.metrics import (
     evaluate_system,
@@ -24,6 +26,7 @@ from sasvkit.models import (
     SYSTEMS,
     TrialTables,
     _msfm_pass,
+    _row_blocks,
     _trial_arrays,
     baseline2_batch_loss,
     iep_batch_loss,
@@ -178,9 +181,7 @@ class TestZeroWeightInvariants:
 
     def test_sssv_outputs_zero_logits(self):
         model = self.zeroed(make_msfm(6, 5))
-        s, *_ = _msfm_pass(
-            model, one_to_one(np.ones((1, 6)), np.ones((1, 5)), np.ones((1, 6)), np.ones((1, 5)))
-        )
+        s, *_ = _msfm_pass(model, self.ones_batch(1))
         assert np.array_equal(s, np.zeros((1, 2)))
 
     def test_total_loss_is_two_ln_two(self):
@@ -649,6 +650,100 @@ class TestColumnarScoring:
         asv, cm = tiny_stores()
         scored = score_trials("baseline1", parse_trial_list("", {}), asv, cm)
         assert len(scored) == 0 and scored == []
+
+
+BLOCK = models._ROW_BLOCK
+
+
+def block_trials(n_trials: int, n_enroll: int, n_tests: int) -> tuple:
+    """Stores and a trial list over ``n_enroll`` enrollments and ``n_tests`` test utterances.
+
+    Trial i pairs enrollment ``i % n_enroll`` with test utterance ``i % n_tests``.
+    """
+    rng = np.random.default_rng(21)
+    asv, cm = EmbeddingStore(6, "asv"), EmbeddingStore(5, "cm")
+    enrollments = [(f"S{s}", (f"S{s}_e",)) for s in range(n_enroll)]
+    test_ids = [f"T{i}" for i in range(n_tests)]
+    for utt in [ids[0] for _, ids in enrollments] + test_ids:
+        asv.add(utt, rng.normal(size=6))
+        cm.add(utt, rng.normal(size=5))
+    rows = np.arange(n_trials)
+    trials = TrialList(enrollments, test_ids, rows % n_enroll, rows % n_tests,
+                       rng.integers(0, 3, n_trials).astype(np.int8))
+    return trials, asv, cm
+
+
+def narrow_baseline2() -> Baseline2Model:
+    """baseline2's layout at width 64 on 6-dim ASV and 5-dim CM stores.
+
+    Its 64 -> 2 output layer rounds differently in calls of up to about 600
+    rows, so a short block would show.
+    """
+    spec = MlpSpec((FullyConnected(17, 64), Elu(), FullyConnected(64, 64), Elu(),
+                    FullyConnected(64, 64), Elu(), FullyConnected(64, 2)))
+    return Baseline2Model(Mlp.init(spec, np.random.default_rng(5)), asv_dim=6, cm_dim=5)
+
+
+BLOCKED_SYSTEMS = {
+    "msfm": lambda: make_msfm(6, 5, rng=np.random.default_rng(3)),
+    "iep": lambda: make_iep(6, 5, rng=np.random.default_rng(3)),
+    "baseline2": narrow_baseline2,
+}
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("block, sizes", [
+        (8, range(42)),
+        (BLOCK, [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK // 2, 2 * BLOCK + 1, 3 * BLOCK - 1]),
+    ])
+    def test_blocks_cover_every_row_once_in_order(self, block, sizes, monkeypatch):
+        monkeypatch.setattr(models, "_ROW_BLOCK", block)
+        for n in sizes:
+            blocks = _row_blocks(n)
+            assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
+            if len(blocks) > 1:
+                assert min(rows.stop - rows.start for rows in blocks) >= block // 2
+
+    def test_fewer_rows_than_a_block_are_one_block(self):
+        for n in (1, 17, BLOCK - 1, BLOCK):
+            assert _row_blocks(n) == [slice(0, n)]
+
+    def test_short_tail_is_merged(self):
+        assert _row_blocks(2 * BLOCK + 1) == [slice(0, BLOCK), slice(BLOCK, 2 * BLOCK + 1)]
+        assert _row_blocks(BLOCK + BLOCK // 2) == [slice(0, BLOCK),
+                                                   slice(BLOCK, BLOCK + BLOCK // 2)]
+        assert _row_blocks(BLOCK + BLOCK // 2 - 1) == [slice(0, BLOCK + BLOCK // 2 - 1)]
+
+
+class TestBlockedScoring:
+    @pytest.mark.parametrize("name", BLOCKED_SYSTEMS)
+    @pytest.mark.parametrize("n", [2 * BLOCK + 1, 3 * BLOCK - 1])
+    def test_blocked_scores_are_bit_identical_to_one_block(self, name, n, monkeypatch):
+        # every trial has its own test utterance, so the table networks run
+        # in blocks too
+        trials, asv, cm = block_trials(n, 97, n)
+        system = BLOCKED_SYSTEMS[name]()
+        blocked = score_trials(system, trials, asv, cm).scores
+        monkeypatch.setattr(models, "_ROW_BLOCK", n + 1)
+        whole = score_trials(system, trials, asv, cm).scores
+        assert np.array_equal(blocked, whole)
+
+    @pytest.mark.parametrize("name", ["msfm", "baseline2"])
+    def test_scoring_memory_does_not_grow_with_the_trial_list(self, name):
+        # the same tables under 2 and under 8 blocks of trials: only O(n)
+        # score and index arrays may add to the peak, not per-trial rows of a
+        # network's input or tape
+        system = BLOCKED_SYSTEMS[name]()
+        peaks = []
+        for blocks in (2, 8):
+            trials, asv, cm = block_trials(blocks * BLOCK, 64, 1024)
+            tracemalloc.start()
+            try:
+                score_trials(system, trials, asv, cm)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 6 * BLOCK * 64
 
 
 def two_layer_baseline2(first_bias: float, second_weight: float) -> Baseline2Model:
