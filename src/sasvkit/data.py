@@ -158,8 +158,8 @@ class EmbeddingStore:
     def items(self) -> list:
         return list(zip(self._rows, self._vectors()))
 
-    def matrix(self, utterance_ids) -> np.ndarray:
-        """Rows for the given ids, in order; reports all missing ids at once."""
+    def index(self, utterance_ids) -> np.ndarray:
+        """Row numbers of the given ids, in order; reports all missing ids at once."""
         rows = self._rows
         try:
             index = [rows[u] for u in utterance_ids]
@@ -170,7 +170,11 @@ class EmbeddingStore:
                 + ", ".join(sorted(missing)[:10])
                 + ("..." if len(missing) > 10 else "")
             ) from None
-        return self._matrix[np.array(index, dtype=np.intp)]
+        return np.array(index, dtype=np.intp)
+
+    def matrix(self, utterance_ids) -> np.ndarray:
+        """Rows for the given ids, in order; reports all missing ids at once."""
+        return self._matrix[self.index(utterance_ids)]
 
     def mean_vector(self) -> np.ndarray:
         """Store-wide mean, used as the zero-information stand-in vector."""

@@ -405,17 +405,34 @@ def _one_hot_rows(flags) -> np.ndarray:
     return rows
 
 
-def pair_batch(pairs, asv_store, cm_store) -> PairBatch:
-    enroll_ids = [p.enroll_utterance_id for p in pairs]
-    test_ids = [p.test_utterance_id for p in pairs]
+def pair_batch(pairs, ids, asv_store, cm_store) -> PairBatch:
+    """Embeddings and targets of rows of ``sample_training_pairs``.
+
+    ``ids`` maps protocol rows to utterance ids (see ``_protocol_ids``). The
+    speakers match for an even scenario code, and code 0 is the target.
+    """
+    enroll_ids = ids[pairs[:, 0]]
+    test_ids = ids[pairs[:, 1]]
     return PairBatch(
         enroll_asv=asv_store.matrix(enroll_ids),
         enroll_cm=cm_store.matrix(enroll_ids),
         test_asv=asv_store.matrix(test_ids),
         test_cm=cm_store.matrix(test_ids),
-        sv_target=_one_hot_rows([p.sv_label == "same" for p in pairs]),
-        sasv_target=_one_hot_rows([p.sasv_label == "target" for p in pairs]),
+        sv_target=_one_hot_rows(pairs[:, 2] % 2 == 0),
+        sasv_target=_one_hot_rows(pairs[:, 2] == 0),
     )
+
+
+def _protocol_ids(records, asv_store: EmbeddingStore, cm_store: EmbeddingStore) -> np.ndarray:
+    """The protocol's utterance ids, indexed by protocol row, as an object array.
+
+    Raises KeyError before training when a store lacks any of them, since a
+    row that the sampler happens to skip would otherwise go unnoticed.
+    """
+    ids = np.array([rec.utterance_id for rec in records], dtype=object)
+    asv_store.index(ids)
+    cm_store.index(ids)
+    return ids
 
 
 def _check_dims(asv_store: EmbeddingStore, cm_store: EmbeddingStore,
@@ -478,6 +495,7 @@ def train_msfm(records, asv_store: EmbeddingStore, cm_store: EmbeddingStore,
     """
     rng = np.random.default_rng(config.seed)
     model = make_msfm(asv_store.dim, cm_store.dim, use_sssv_score, rng)
+    ids = _protocol_ids(records, asv_store, cm_store)
 
     def batch_loss(batch):
         l_sssv, l_sf, _, grads = msfm_batch_losses(model, batch)
@@ -486,7 +504,7 @@ def train_msfm(records, asv_store: EmbeddingStore, cm_store: EmbeddingStore,
     return model, _fit(
         model, config, config.batch_size, ("loss_sssv", "loss_fusion"),
         lambda: sample_training_pairs(records, config.samples_per_epoch, rng),
-        lambda chunk: pair_batch(chunk, asv_store, cm_store),
+        lambda chunk: pair_batch(chunk, ids, asv_store, cm_store),
         batch_loss,
     )
 
@@ -602,29 +620,18 @@ def iep_batch_loss(model: IepModel, anchor_asv, anchor_cm, positive_asv, positiv
     return loss, trunk_grads.tensors() + proj_grads.tensors()
 
 
-def _triplet_batch(triplets, asv_store, cm_store):
-    anchor_ids = [t.anchor_id for t in triplets]
-    positive_ids = [t.positive_id for t in triplets]
-    negative_ids = [t.negative_id for t in triplets]
-    return (
-        asv_store.matrix(anchor_ids),
-        cm_store.matrix(anchor_ids),
-        asv_store.matrix(positive_ids),
-        cm_store.matrix(positive_ids),
-        asv_store.matrix(negative_ids),
-        cm_store.matrix(negative_ids),
-    )
-
-
 def train_iep(records, asv_store: EmbeddingStore, cm_store: EmbeddingStore,
               config: TrainConfig) -> tuple:
     """Train the embedding projector; returns (model, loss history)."""
     rng = np.random.default_rng(config.seed)
     model = make_iep(asv_store.dim, cm_store.dim, config.margin, rng)
+    ids = _protocol_ids(records, asv_store, cm_store)
     return model, _fit(
         model, config, config.triplets_per_batch, ("loss_triplet",),
         lambda: sample_triplets(records, config.samples_per_epoch, rng),
-        lambda chunk: _triplet_batch(chunk, asv_store, cm_store),
+        # anchor, positive and negative embeddings, ASV then CM of each
+        lambda chunk: [store.matrix(ids[chunk[:, c]])
+                       for c in range(3) for store in (asv_store, cm_store)],
         lambda arrays: iep_batch_loss(model, *arrays, margin=config.margin),
     )
 
@@ -691,10 +698,11 @@ def train_baseline2(records, asv_store: EmbeddingStore, cm_store: EmbeddingStore
                     config: TrainConfig) -> tuple:
     rng = np.random.default_rng(config.seed)
     model = make_baseline2(asv_store.dim, cm_store.dim, rng)
+    ids = _protocol_ids(records, asv_store, cm_store)
     return model, _fit(
         model, config, config.batch_size, ("loss_cce",),
         lambda: sample_training_pairs(records, config.samples_per_epoch, rng),
-        lambda chunk: pair_batch(chunk, asv_store, cm_store),
+        lambda chunk: pair_batch(chunk, ids, asv_store, cm_store),
         lambda batch: baseline2_batch_loss(model, batch),
     )
 

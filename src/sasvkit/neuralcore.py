@@ -173,11 +173,13 @@ def mlp_forward(spec: MlpSpec, params: MlpParams, x) -> tuple:
     The tape lists what the backward pass reads: the input of each
     fully-connected layer and the output of each ELU. A fully-connected layer
     whose output holds an inf or a nan raises NonFiniteError naming the layer.
-    Every such layer is checked, since an ELU turns -inf into a finite -1.
+    Every such layer is checked, since an ELU turns -inf into a finite -1. The
+    input is not swept separately: a non-finite input value makes its row of
+    layer 0's output non-finite, so layer 0's check reports it.
     NumPy's warnings are silenced: a large input to an ELU overflows only the
     negative branch that it does not take, which is no error.
     """
-    arr = _as_f64(x, "network input")
+    arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a batch of shape (n, d), got shape {arr.shape}")
     if arr.shape[1] != spec.input_dim:

@@ -7,7 +7,15 @@ largest-remainder apportionment, so a request for 2000 pairs yields exactly
 (901, 499, 300, 300) every time. A pair is labeled target only when the test
 side is a bonafide utterance of the enrolled speaker; the speaker-match label
 is positive for both same-speaker scenarios, spoofed or not. Enrollment sides
-are always bonafide.
+are always bonafide. Metric learning draws anchor/positive/negative triplets.
+
+Both samplers return integer arrays of protocol row numbers plus a scenario
+or negative-kind code, one draw per row; the trainers map rows to utterance
+ids once and gather embeddings by them. Each speaker's utterances are one
+contiguous block of a flat pool, so every draw is a weighted speaker choice
+by a search in a running sum, then a position within the chosen choices.
+Pairs draw a whole scenario at once; triplets loop, because each triplet's
+later draws are bounded by its speaker.
 
 The synthetic generator mimics the score geometry this pipeline is built for:
 spoofed ASV embeddings scatter around the attacked speaker's mean direction
@@ -17,9 +25,11 @@ Gaussian clusters (bonafide vs. spoof) regardless of speaker.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,43 +38,6 @@ from .data import EmbeddingStore, TrialRecord, UtteranceRecord
 PAIR_SCENARIOS = ("bonafide-same", "bonafide-diff", "spoof-same", "spoof-diff")
 PAIR_SCENARIO_WEIGHTS = (3.0, 1.66, 1.0, 1.0)
 NEGATIVE_KINDS = ("same-speaker-spoof", "other-speaker-bonafide")
-
-
-@dataclass(frozen=True)
-class TrainingPair:
-    """One enroll/test training example with both supervision labels."""
-
-    enroll_utterance_id: str
-    test_utterance_id: str
-    sasv_label: str  # "target" | "nontarget"
-    sv_label: str  # "same" | "different"
-    scenario: str
-
-    def __post_init__(self):
-        if self.scenario not in PAIR_SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        expected_sv = "same" if self.scenario.endswith("-same") else "different"
-        if self.sv_label != expected_sv:
-            raise ValueError(f"sv_label {self.sv_label!r} contradicts {self.scenario}")
-        expected_sasv = "target" if self.scenario == "bonafide-same" else "nontarget"
-        if self.sasv_label != expected_sasv:
-            raise ValueError(f"sasv_label {self.sasv_label!r} contradicts {self.scenario}")
-
-
-@dataclass(frozen=True)
-class Triplet:
-    """Anchor/positive from one speaker's bonafide audio, plus a negative."""
-
-    anchor_id: str
-    positive_id: str
-    negative_id: str
-    negative_kind: str
-
-    def __post_init__(self):
-        if self.anchor_id == self.positive_id:
-            raise ValueError("anchor and positive must be distinct utterances")
-        if self.negative_kind not in NEGATIVE_KINDS:
-            raise ValueError(f"unknown negative kind {self.negative_kind!r}")
 
 
 def apportion_counts(total: int, weights: Sequence[float]) -> tuple:
@@ -89,161 +62,148 @@ def apportion_counts(total: int, weights: Sequence[float]) -> tuple:
     return tuple(counts)
 
 
-class _SpeakerTable:
-    """Per-speaker bonafide/spoof utterance lists with flat index arrays."""
+class _Pool(NamedTuple):
+    """Protocol rows of one class, bonafide or spoof, grouped by speaker.
 
-    def __init__(self, records):
-        self.speakers = []
-        self.bona = {}
-        self.spoof = {}
-        for rec in records:
-            if rec.speaker_id not in self.bona:
-                self.speakers.append(rec.speaker_id)
-                self.bona[rec.speaker_id] = []
-                self.spoof[rec.speaker_id] = []
-            bucket = self.bona if rec.is_bonafide else self.spoof
-            bucket[rec.speaker_id].append(rec.utterance_id)
-        self.flat_bona = []
-        self.bona_offset = {}
-        for s in self.speakers:
-            self.bona_offset[s] = len(self.flat_bona)
-            self.flat_bona.extend(self.bona[s])
-        self.flat_spoof = []
-        self.spoof_offset = {}
-        for s in self.speakers:
-            self.spoof_offset[s] = len(self.flat_spoof)
-            self.flat_spoof.extend(self.spoof[s])
+    Speaker s owns ``rows[start[s] : start[s] + count[s]]``. Speakers come in
+    order of first appearance in the protocol, and so do the rows within a
+    speaker. Both pools of a protocol list the same speakers.
+    """
 
-    def counts(self, speaker):
-        return len(self.bona[speaker]), len(self.spoof[speaker])
+    rows: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
 
 
-def _weighted_speaker_choice(rng, speakers, weights):
-    """Pick (speaker, residual index) uniformly over sum(weights) slots."""
+def _pools(records) -> tuple:
+    """The bonafide and the spoof _Pool of a protocol."""
+    speakers = {}
+    for row, rec in enumerate(records):
+        bona, spoof = speakers.setdefault(rec.speaker_id, ([], []))
+        (bona if rec.is_bonafide else spoof).append(row)
+    pools = []
+    for side in (0, 1):
+        groups = [lists[side] for lists in speakers.values()]
+        count = np.array([len(g) for g in groups], dtype=np.intp)
+        rows = np.array([row for g in groups for row in g], dtype=np.intp)
+        pools.append(_Pool(rows, np.cumsum(count) - count, count))
+    return tuple(pools)
+
+
+# why a pair scenario has no pair to draw, by scenario code
+_UNSATISFIABLE = (
+    "no speaker has two bonafide utterances",
+    "need bonafide audio from two speakers",
+    "no speaker has both bonafide and spoofed utterances",
+    "need spoofed audio attributed to a different speaker",
+)
+
+
+def _draw(rng, n: int, enroll_count, test_count) -> tuple:
+    """``n`` uniform draws over all (speaker, enroll, test) choices.
+
+    Speaker s offers ``enroll_count[s] * test_count[s]`` choices; the total
+    must be positive. Returns the speaker, the enroll position and the test
+    position of each draw. A speaker without choices adds nothing to the
+    running sum, so ``searchsorted(side="right")`` never lands on it.
+    """
+    weights = enroll_count * test_count
     cumulative = np.cumsum(weights)
-    k = int(rng.integers(cumulative[-1]))
-    idx = int(np.searchsorted(cumulative, k, side="right"))
-    prev = 0 if idx == 0 else int(cumulative[idx - 1])
-    return speakers[idx], k - prev
+    k = rng.integers(cumulative[-1], size=n)
+    speaker = np.searchsorted(cumulative, k, side="right")
+    i, j = np.divmod(k - cumulative[speaker] + weights[speaker], test_count[speaker])
+    return speaker, i, j
 
 
-def _pick_other(flat, offset, count, residual):
-    """Index into flat skipping the block [offset, offset+count)."""
-    return flat[residual if residual < offset else residual + count]
+def sample_training_pairs(records, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``count`` pairs at the fixed scenario ratio, uniform within scenario.
 
+    Returns a ``(count, 3)`` intp array, one pair a row: the enroll row and
+    the test row of ``records``, and the index of the pair's scenario in
+    ``PAIR_SCENARIOS``. Rows are grouped by scenario in that order. The
+    labels follow from the code: the speakers match when it is even, and the
+    pair is a target only for code 0 (bonafide-same).
 
-def _draw_pair(table: _SpeakerTable, scenario: str, rng) -> TrainingPair:
-    total_bona = len(table.flat_bona)
-    total_spoof = len(table.flat_spoof)
-    if scenario == "bonafide-same":
-        speakers = [s for s in table.speakers if len(table.bona[s]) >= 2]
-        weights = [len(table.bona[s]) * (len(table.bona[s]) - 1) for s in speakers]
-        if not speakers:
-            raise ValueError("scenario bonafide-same is unsatisfiable: "
-                             "no speaker has two bonafide utterances")
-        speaker, r = _weighted_speaker_choice(rng, speakers, weights)
-        utts = table.bona[speaker]
-        i, j = divmod(r, len(utts) - 1)
-        if j >= i:
-            j += 1
-        return TrainingPair(utts[i], utts[j], "target", "same", scenario)
-    if scenario == "bonafide-diff":
-        speakers = [s for s in table.speakers
-                    if table.bona[s] and total_bona > len(table.bona[s])]
-        weights = [len(table.bona[s]) * (total_bona - len(table.bona[s])) for s in speakers]
-        if not speakers:
-            raise ValueError("scenario bonafide-diff is unsatisfiable: "
-                             "need bonafide audio from two speakers")
-        speaker, r = _weighted_speaker_choice(rng, speakers, weights)
-        n = len(table.bona[speaker])
-        i, j = divmod(r, total_bona - n)
-        enroll = table.bona[speaker][i]
-        test = _pick_other(table.flat_bona, table.bona_offset[speaker], n, j)
-        return TrainingPair(enroll, test, "nontarget", "different", scenario)
-    if scenario == "spoof-same":
-        speakers = [s for s in table.speakers if table.bona[s] and table.spoof[s]]
-        weights = [len(table.bona[s]) * len(table.spoof[s]) for s in speakers]
-        if not speakers:
-            raise ValueError("scenario spoof-same is unsatisfiable: no speaker has "
-                             "both bonafide and spoofed utterances")
-        speaker, r = _weighted_speaker_choice(rng, speakers, weights)
-        i, j = divmod(r, len(table.spoof[speaker]))
-        return TrainingPair(
-            table.bona[speaker][i], table.spoof[speaker][j], "nontarget", "same", scenario
-        )
-    if scenario == "spoof-diff":
-        speakers = [s for s in table.speakers
-                    if table.bona[s] and total_spoof > len(table.spoof[s])]
-        weights = [len(table.bona[s]) * (total_spoof - len(table.spoof[s]))
-                   for s in speakers]
-        if not speakers:
-            raise ValueError("scenario spoof-diff is unsatisfiable: need spoofed audio "
-                             "attributed to a different speaker")
-        speaker, r = _weighted_speaker_choice(rng, speakers, weights)
-        n_sp = len(table.spoof[speaker])
-        i, j = divmod(r, total_spoof - n_sp)
-        enroll = table.bona[speaker][i]
-        test = _pick_other(table.flat_spoof, table.spoof_offset[speaker], n_sp, j)
-        return TrainingPair(enroll, test, "nontarget", "different", scenario)
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
-def sample_training_pairs(records, count: int, rng: np.random.Generator) -> list:
-    """Draw `count` pairs at the fixed scenario ratio, uniform within scenario."""
+    Each scenario's pairs take one vectorised draw, one bounded integer per
+    pair, which yields the same integers and leaves ``rng`` in the same state
+    as drawing them one at a time. A scenario raises ValueError only when it
+    gets a pair but has none to draw.
+    """
     if count < 0:
         raise ValueError("count must be non-negative")
-    table = _SpeakerTable(records)
-    scenario_counts = apportion_counts(count, PAIR_SCENARIO_WEIGHTS)
-    pairs = []
-    for scenario, n in zip(PAIR_SCENARIOS, scenario_counts):
-        for _ in range(n):
-            pairs.append(_draw_pair(table, scenario, rng))
+    bona, spoof = _pools(records)
+    counts = apportion_counts(count, PAIR_SCENARIO_WEIGHTS)
+    pairs = np.empty((count, 3), dtype=np.intp)
+    for code, (n, stop) in enumerate(zip(counts, itertools.accumulate(counts))):
+        if n == 0:
+            continue
+        pool = bona if code < 2 else spoof
+        same = code % 2 == 0
+        if same:  # the speaker's own utterances, but for bonafide-same the enroll one
+            test_count = pool.count - 1 if code == 0 else pool.count
+        else:
+            test_count = len(pool.rows) - pool.count
+        if not np.any(bona.count * test_count):
+            raise ValueError(f"scenario {PAIR_SCENARIOS[code]} is unsatisfiable: "
+                             f"{_UNSATISFIABLE[code]}")
+        speaker, i, j = _draw(rng, n, bona.count, test_count)
+        if same:
+            if code == 0:
+                j += j >= i  # skip the enroll utterance
+            j += pool.start[speaker]
+        else:
+            # j counts the other speakers' rows: skip the speaker's own block
+            j += np.where(j >= pool.start[speaker], pool.count[speaker], 0)
+        block = pairs[stop - n : stop]
+        block[:, 0] = bona.rows[bona.start[speaker] + i]
+        block[:, 1] = pool.rows[j]
+        block[:, 2] = code
     return pairs
 
 
-def sample_triplets(records, count: int, rng: np.random.Generator) -> list:
+def sample_triplets(records, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw anchor/positive/negative triplets for metric learning.
 
     Anchor and positive are distinct bonafide utterances of one speaker. The
     negative is either a spoof aimed at that speaker or another speaker's
     bonafide utterance, with an even draw between the kinds whenever both are
-    available.
+    available. Returns a ``(count, 4)`` intp array, one triplet a row: the
+    anchor, positive and negative rows of ``records``, and the index of the
+    negative's kind in ``NEGATIVE_KINDS``.
+
+    Unlike pairs, triplets are drawn one at a time: the bound of a triplet's
+    kind draw and of its negative draw depend on its speaker draw, so a
+    vectorised draw would change the stream.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    table = _SpeakerTable(records)
-    total_bona = len(table.flat_bona)
-    eligible = [
-        s
-        for s in table.speakers
-        if len(table.bona[s]) >= 2
-        and (table.spoof[s] or total_bona > len(table.bona[s]))
-    ]
-    if not eligible:
+    bona, spoof = _pools(records)
+    total_bona = len(bona.rows)
+    bona_rows, bona_start, bona_count = (a.tolist() for a in bona)
+    spoof_rows, spoof_start, spoof_count = (a.tolist() for a in spoof)
+    # each speaker's available negative kinds, as codes into NEGATIVE_KINDS
+    kinds = [((0,) if n_spoof else ()) + ((1,) if total_bona > n_bona else ())
+             for n_bona, n_spoof in zip(bona_count, spoof_count)]
+    weights = [n * (n - 1) if k else 0 for n, k in zip(bona_count, kinds)]
+    cumulative = list(itertools.accumulate(weights))
+    if not any(weights):
         raise ValueError(
             "no speaker with two bonafide utterances and an available negative"
         )
-    weights = [len(table.bona[s]) * (len(table.bona[s]) - 1) for s in eligible]
-    triplets = []
-    for _ in range(count):
-        speaker, r = _weighted_speaker_choice(rng, eligible, weights)
-        utts = table.bona[speaker]
-        i, j = divmod(r, len(utts) - 1)
+    triplets = np.empty((count, 4), dtype=np.intp)
+    for t in range(count):
+        k = int(rng.integers(cumulative[-1]))
+        s = bisect.bisect_right(cumulative, k)
+        i, j = divmod(k - cumulative[s] + weights[s], bona_count[s] - 1)
         if j >= i:
             j += 1
-        kinds = []
-        if table.spoof[speaker]:
-            kinds.append("same-speaker-spoof")
-        if total_bona > len(utts):
-            kinds.append("other-speaker-bonafide")
-        kind = kinds[int(rng.integers(len(kinds)))]
-        if kind == "same-speaker-spoof":
-            negative = table.spoof[speaker][int(rng.integers(len(table.spoof[speaker])))]
+        kind = kinds[s][int(rng.integers(len(kinds[s])))]
+        if kind == 0:
+            negative = spoof_rows[spoof_start[s] + int(rng.integers(spoof_count[s]))]
         else:
-            n = len(utts)
-            residual = int(rng.integers(total_bona - n))
-            negative = _pick_other(table.flat_bona, table.bona_offset[speaker], n, residual)
-        triplets.append(Triplet(utts[i], utts[j], negative, kind))
+            r = int(rng.integers(total_bona - bona_count[s]))
+            negative = bona_rows[r if r < bona_start[s] else r + bona_count[s]]
+        triplets[t] = bona_rows[bona_start[s] + i], bona_rows[bona_start[s] + j], negative, kind
     return triplets
 
 

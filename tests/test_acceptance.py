@@ -66,7 +66,8 @@ def test_criterion_01_gradients_match_finite_differences(capsys):
     pairs = sample_training_pairs(
         dataset.train_records, 12, np.random.default_rng(99)
     )
-    batch = pair_batch(pairs, dataset.asv_store, dataset.cm_store)
+    ids = np.array([r.utterance_id for r in dataset.train_records], dtype=object)
+    batch = pair_batch(pairs, ids, dataset.asv_store, dataset.cm_store)
     checks = []
 
     msfm = make_msfm(rng=np.random.default_rng(1))
@@ -279,15 +280,9 @@ def test_criterion_05_pair_apportionment_is_exact(capsys):
         pairs = sample_training_pairs(
             dataset.train_records, 2000, np.random.default_rng(seed)
         )
-        tally = {}
-        for pair in pairs:
-            tally[pair.scenario] = tally.get(pair.scenario, 0) + 1
-        observed.append(
-            tuple(
-                tally.get(s, 0)
-                for s in ("bonafide-same", "bonafide-diff", "spoof-same", "spoof-diff")
-            )
-        )
+        # column 2 holds each pair's index into PAIR_SCENARIOS: bonafide-same,
+        # bonafide-diff, spoof-same, spoof-diff
+        observed.append(tuple(int(n) for n in np.bincount(pairs[:, 2], minlength=4)))
     ok = all(counts == expected for counts in observed)
     verdict(
         capsys,

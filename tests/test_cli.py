@@ -601,3 +601,44 @@ class TestOverflowingTraining:
             "ERROR sasvkit: non-finite values at epoch 0, step 1: "
             "activations of block trunk overflowed"
         ], result.stderr
+
+
+PAIRS_UNSATISFIABLE = (
+    "scenario bonafide-same is unsatisfiable: no speaker has two bonafide utterances"
+)
+
+
+class TestTrainingProtocol:
+    def train(self, run_cli, corpus, tmp_path, model, protocol):
+        return run_cli("train", "--model", model, "--asv-store", corpus / "asv.emb",
+                       "--cm-store", corpus / "cm.emb", "--protocol", protocol,
+                       "--out", tmp_path / "train", "--set", "epochs=1",
+                       "--set", "samples_per_epoch=64")
+
+    def test_row_missing_from_the_stores_fails_before_training(self, corpus, tmp_path,
+                                                               run_cli, monkeypatch):
+        # 64 pairs a run would rarely draw the extra row; it is refused anyway
+        monkeypatch.setenv("SASV_LOG", "error")
+        protocol = tmp_path / "protocol.txt"
+        protocol.write_text((corpus / "protocol.txt").read_text()
+                            + "S0000 ghost_X - - bonafide\n")
+        result = self.train(run_cli, corpus, tmp_path, "msfm", protocol)
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            "ERROR sasvkit: 1 utterance(s) missing from asv store: ghost_X"
+        ], result.stderr
+        assert not (tmp_path / "train" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("model", ["msfm", "baseline2", "iep"])
+    def test_empty_protocol_is_one_line(self, corpus, tmp_path, run_cli, monkeypatch, model):
+        message = {
+            "msfm": PAIRS_UNSATISFIABLE,
+            "baseline2": PAIRS_UNSATISFIABLE,
+            "iep": "no speaker with two bonafide utterances and an available negative",
+        }[model]
+        monkeypatch.setenv("SASV_LOG", "error")
+        protocol = tmp_path / "protocol.txt"
+        protocol.write_text("")
+        result = self.train(run_cli, corpus, tmp_path, model, protocol)
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [f"ERROR sasvkit: {message}"], result.stderr

@@ -979,12 +979,14 @@ class TestBaseline1:
 class TestPairBatchConstruction:
     def test_one_hot_targets_follow_labels(self):
         ds = small_synth()
-        from sasvkit.sampling import sample_training_pairs
+        from sasvkit.sampling import PAIR_SCENARIOS, sample_training_pairs
 
+        ids = np.array([r.utterance_id for r in ds.train_records], dtype=object)
         pairs = sample_training_pairs(ds.train_records, 40, np.random.default_rng(0))
-        batch = pair_batch(pairs, ds.asv_store, ds.cm_store)
-        for i, pair in enumerate(pairs):
-            assert batch.sv_target[i, 1] == (1.0 if pair.sv_label == "same" else 0.0)
-            assert batch.sasv_target[i, 1] == (
-                1.0 if pair.sasv_label == "target" else 0.0
-            )
+        batch = pair_batch(pairs, ids, ds.asv_store, ds.cm_store)
+        for i, (enroll, test, code) in enumerate(pairs.tolist()):
+            scenario = PAIR_SCENARIOS[code]
+            assert batch.sv_target[i, 1] == (1.0 if scenario.endswith("-same") else 0.0)
+            assert batch.sasv_target[i, 1] == (1.0 if scenario == "bonafide-same" else 0.0)
+            assert np.array_equal(batch.enroll_asv[i], ds.asv_store.get(ids[enroll]))
+            assert np.array_equal(batch.test_cm[i], ds.cm_store.get(ids[test]))

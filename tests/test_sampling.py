@@ -1,6 +1,8 @@
 """Tests for pair/triplet sampling and the synthetic corpus generator."""
 
 import collections
+import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -11,14 +13,14 @@ from sasvkit.data import UtteranceRecord
 from sasvkit.sampling import (
     PAIR_SCENARIO_WEIGHTS,
     PAIR_SCENARIOS,
+    NEGATIVE_KINDS,
     SynthConfig,
-    Triplet,
-    TrainingPair,
     apportion_counts,
     generate_synthetic,
     sample_training_pairs,
     sample_triplets,
 )
+from test_acceptance import small_corpus
 
 
 def make_records(n_speakers=4, bona_per_speaker=5, spoof_per_speaker=3):
@@ -65,24 +67,66 @@ class TestApportionment:
             assert abs(c - total * w / weight_sum) < 1.0 + 1e-9
 
 
-class TestTrainingPairValidation:
-    def test_label_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            TrainingPair("e", "t", "target", "same", "spoof-same")
-        with pytest.raises(ValueError):
-            TrainingPair("e", "t", "nontarget", "different", "bonafide-same")
+def pair_labels(records, pairs):
+    """(enroll id, test id, scenario) of each row of sample_training_pairs."""
+    return [(records[e].utterance_id, records[t].utterance_id, PAIR_SCENARIOS[c])
+            for e, t, c in pairs.tolist()]
 
-    def test_valid_pairs_construct(self):
-        TrainingPair("e", "t", "target", "same", "bonafide-same")
-        TrainingPair("e", "t", "nontarget", "same", "spoof-same")
-        TrainingPair("e", "t", "nontarget", "different", "spoof-diff")
+
+def triplet_labels(records, triplets):
+    """(anchor id, positive id, negative id, kind) of each row of sample_triplets."""
+    return [(records[a].utterance_id, records[p].utterance_id, records[n].utterance_id,
+             NEGATIVE_KINDS[k]) for a, p, n, k in triplets.tolist()]
+
+
+def assert_pair_invariants(records, pairs):
+    for e, t, c in pairs.tolist():
+        enroll, test = records[e], records[t]
+        assert enroll.is_bonafide
+        assert test.is_bonafide == (c < 2)
+        assert (enroll.speaker_id == test.speaker_id) == (c % 2 == 0)
+        if c == 0:
+            assert e != t
+
+
+def assert_triplet_invariants(records, triplets):
+    for a, p, n, k in triplets.tolist():
+        anchor, positive, negative = records[a], records[p], records[n]
+        assert anchor.is_bonafide and positive.is_bonafide
+        assert a != p
+        assert anchor.speaker_id == positive.speaker_id
+        if NEGATIVE_KINDS[k] == "same-speaker-spoof":
+            assert not negative.is_bonafide
+            assert negative.speaker_id == anchor.speaker_id
+        else:
+            assert negative.is_bonafide
+            assert negative.speaker_id != anchor.speaker_id
+
+
+def satisfiable(records, code) -> bool:
+    """Whether any (enroll, test) row pair meets scenario ``code``, by brute force."""
+    return any(
+        e.is_bonafide and t.is_bonafide == (code < 2)
+        and (e.speaker_id == t.speaker_id) == (code % 2 == 0) and i != j
+        for i, e in enumerate(records) for j, t in enumerate(records)
+    )
+
+
+small_protocols = st.lists(
+    st.tuples(st.integers(0, 3), st.booleans()), max_size=14
+).map(lambda rows: [
+    UtteranceRecord(f"U{i}", f"SPK{s}", "bonafide" if bona else "spoof",
+                    None if bona else "A01")
+    for i, (s, bona) in enumerate(rows)
+])
 
 
 class TestSampleTrainingPairs:
     def test_scenario_counts_match_apportionment(self):
         records = make_records()
         pairs = sample_training_pairs(records, 2000, np.random.default_rng(0))
-        by_scenario = collections.Counter(p.scenario for p in pairs)
+        assert pairs.shape == (2000, 3) and pairs.dtype == np.intp
+        by_scenario = collections.Counter(PAIR_SCENARIOS[c] for c in pairs[:, 2])
         assert by_scenario["bonafide-same"] == 901
         assert by_scenario["bonafide-diff"] == 499
         assert by_scenario["spoof-same"] == 300
@@ -90,21 +134,28 @@ class TestSampleTrainingPairs:
 
     def test_pair_invariants(self):
         records = make_records()
-        bona = {r.utterance_id for r in records if r.is_bonafide}
-        speaker_of = {r.utterance_id: r.speaker_id for r in records}
-        pairs = sample_training_pairs(records, 400, np.random.default_rng(1))
-        for p in pairs:
-            assert p.enroll_utterance_id in bona
-            same = speaker_of[p.enroll_utterance_id] == speaker_of[p.test_utterance_id]
-            assert (p.sv_label == "same") == same
-            if p.scenario == "bonafide-same":
-                assert p.test_utterance_id in bona
-                assert p.enroll_utterance_id != p.test_utterance_id
-                assert p.sasv_label == "target"
-            elif p.scenario == "bonafide-diff":
-                assert p.test_utterance_id in bona
-            else:
-                assert p.test_utterance_id not in bona
+        assert_pair_invariants(
+            records, sample_training_pairs(records, 400, np.random.default_rng(1))
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_protocols, st.integers(0, 29), st.integers(0, 2**32 - 1))
+    def test_small_protocols_meet_invariants_or_name_the_scenario(self, records, count,
+                                                                 seed):
+        counts = apportion_counts(count, PAIR_SCENARIO_WEIGHTS)
+        try:
+            pairs = sample_training_pairs(records, count, np.random.default_rng(seed))
+        except ValueError as exc:
+            named = re.match(r"scenario (\S+) is unsatisfiable: ", str(exc))
+            assert named, exc
+            code = PAIR_SCENARIOS.index(named[1])
+            assert counts[code] > 0 and not satisfiable(records, code)
+            assert all(satisfiable(records, c) for c in range(code) if counts[c])
+            return
+        assert all(satisfiable(records, c) for c in range(4) if counts[c])
+        assert pairs.shape == (count, 3)
+        assert tuple(np.bincount(pairs[:, 2], minlength=4)) == counts
+        assert_pair_invariants(records, pairs)
 
     def test_unsatisfiable_scenario_is_named(self):
         # a single speaker makes every cross-speaker scenario impossible
@@ -121,40 +172,49 @@ class TestSampleTrainingPairs:
         records = make_records()
         a = sample_training_pairs(records, 300, np.random.default_rng(42))
         b = sample_training_pairs(records, 300, np.random.default_rng(42))
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         records = make_records()
         a = sample_training_pairs(records, 300, np.random.default_rng(1))
         b = sample_training_pairs(records, 300, np.random.default_rng(2))
-        assert a != b
+        assert not np.array_equal(a, b)
 
     def test_within_scenario_coverage_is_broad(self):
         # uniform in-scenario sampling should touch every speaker
         records = make_records(n_speakers=6)
         pairs = sample_training_pairs(records, 3000, np.random.default_rng(3))
-        speaker_of = {r.utterance_id: r.speaker_id for r in records}
-        enrolled = {speaker_of[p.enroll_utterance_id] for p in pairs}
+        enrolled = {records[e].speaker_id for e in pairs[:, 0]}
         assert len(enrolled) == 6
 
 
 class TestSampleTriplets:
     def test_basic_invariants(self):
         records = make_records()
-        bona = {r.utterance_id for r in records if r.is_bonafide}
-        speaker_of = {r.utterance_id: r.speaker_id for r in records}
         triplets = sample_triplets(records, 500, np.random.default_rng(0))
-        assert len(triplets) == 500
-        for t in triplets:
-            assert t.anchor_id in bona and t.positive_id in bona
-            assert t.anchor_id != t.positive_id
-            assert speaker_of[t.anchor_id] == speaker_of[t.positive_id]
-            if t.negative_kind == "same-speaker-spoof":
-                assert t.negative_id not in bona
-                assert speaker_of[t.negative_id] == speaker_of[t.anchor_id]
-            else:
-                assert t.negative_id in bona
-                assert speaker_of[t.negative_id] != speaker_of[t.anchor_id]
+        assert triplets.shape == (500, 4) and triplets.dtype == np.intp
+        assert_triplet_invariants(records, triplets)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_protocols, st.integers(0, 29), st.integers(0, 2**32 - 1))
+    def test_small_protocols_meet_invariants_or_are_rejected(self, records, count, seed):
+        speakers = {r.speaker_id for r in records}
+        bona = collections.Counter(r.speaker_id for r in records if r.is_bonafide)
+        spoofed = {r.speaker_id for r in records if not r.is_bonafide}
+        possible = any(
+            bona[s] >= 2 and (s in spoofed or sum(bona.values()) > bona[s]) for s in speakers
+        )
+        try:
+            triplets = sample_triplets(records, count, np.random.default_rng(seed))
+        except ValueError as exc:
+            assert str(exc) == (
+                "no speaker with two bonafide utterances and an available negative"
+            )
+            assert not possible
+            return
+        assert possible
+        assert triplets.shape == (count, 4)
+        assert_triplet_invariants(records, triplets)
 
     def test_single_speaker_uses_spoof_negatives(self):
         records = [
@@ -162,19 +222,19 @@ class TestSampleTriplets:
             UtteranceRecord("b2", "S", "bonafide"),
             UtteranceRecord("f1", "S", "spoof", "A01"),
         ]
-        triplets = sample_triplets(records, 50, np.random.default_rng(0))
-        assert all(t.negative_kind == "same-speaker-spoof" for t in triplets)
-        assert all(t.negative_id == "f1" for t in triplets)
+        triplets = triplet_labels(records, sample_triplets(records, 50, np.random.default_rng(0)))
+        assert all(t[3] == "same-speaker-spoof" for t in triplets)
+        assert all(t[2] == "f1" for t in triplets)
 
     def test_no_spoofs_uses_other_speakers(self):
         records = make_records(n_speakers=2, spoof_per_speaker=0)
         triplets = sample_triplets(records, 50, np.random.default_rng(0))
-        assert all(t.negative_kind == "other-speaker-bonafide" for t in triplets)
+        assert all(NEGATIVE_KINDS[k] == "other-speaker-bonafide" for k in triplets[:, 3])
 
     def test_both_kinds_drawn_evenly(self):
         records = make_records()
         triplets = sample_triplets(records, 4000, np.random.default_rng(7))
-        kinds = collections.Counter(t.negative_kind for t in triplets)
+        kinds = collections.Counter(NEGATIVE_KINDS[k] for k in triplets[:, 3])
         ratio = kinds["same-speaker-spoof"] / len(triplets)
         assert 0.45 < ratio < 0.55
 
@@ -187,13 +247,36 @@ class TestSampleTriplets:
         records = make_records()
         a = sample_triplets(records, 200, np.random.default_rng(9))
         b = sample_triplets(records, 200, np.random.default_rng(9))
-        assert a == b
+        assert np.array_equal(a, b)
 
-    def test_triplet_validation(self):
-        with pytest.raises(ValueError):
-            Triplet("a", "a", "n", "same-speaker-spoof")
-        with pytest.raises(ValueError):
-            Triplet("a", "p", "n", "hard-negative")
+
+class TestPinnedStream:
+    """sha256 of the draws on the acceptance corpus, recorded from the
+    object-based samplers that the row arrays replaced: any change to the
+    random stream, to the pool layout or to the order of draws fails here."""
+
+    PAIRS = {
+        0: "b1a8fae6339bbac3afc2f5f6f90dc25a1217e9e4c7634b7c8748368598fde0d0",
+        1: "4ba0a21d62f057ff0fecece7b0d89e6be6b27060eae0337a50d7931f43df5ab1",
+        2: "9706a28c8ff1b7b03f069631ec55ba0082ae9e52f746e452792c0ac63ba2a43a",
+    }
+    TRIPLETS = {
+        0: "d6e84596c7e7e22df93c80e25c3fc78da915cb02f08190ad3670053dbc507607",
+        1: "d9a633dc906b1b85af26b639c4a8330894643743b04b583ce83453680e8275a4",
+        2: "ccd5e1ce243f6cd74a8fa9f83fe8f4078ef16c7556366a2835278989fb38923c",
+    }
+
+    @staticmethod
+    def digest(rows) -> str:
+        return hashlib.sha256("\n".join(" ".join(r) for r in rows).encode()).hexdigest()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pairs_and_triplets_keep_their_stream(self, seed):
+        records = small_corpus().train_records
+        pairs = sample_training_pairs(records, 2000, np.random.default_rng(seed))
+        triplets = sample_triplets(records, 2000, np.random.default_rng(seed))
+        assert self.digest(pair_labels(records, pairs)) == self.PAIRS[seed]
+        assert self.digest(triplet_labels(records, triplets)) == self.TRIPLETS[seed]
 
 
 def small_synth(**overrides):
