@@ -4,8 +4,9 @@ Two embedding kinds flow through the pipeline: speaker-verification ("asv")
 embeddings and countermeasure ("cm") embeddings. Stores keep one vector per
 utterance id. On disk a store is either a small binary format (magic
 ``SASVEMB1``, little-endian, single-precision vectors) or a TSV file with the
-utterance id followed by the vector components. Vectors are rounded to single
-precision when they enter a store so that the binary round trip is bit-exact.
+utterance id followed by the vector components. A store holds its vectors in
+single precision, the precision of the binary format, so that the binary round
+trip is bit-exact; it hands them out in double precision.
 
 Protocol files use the ASVspoof layout: five whitespace-separated columns
 ``speaker utterance _ system key``. Trial lists carry three columns
@@ -68,10 +69,10 @@ class TrialRecord:
 class EmbeddingStore:
     """Mapping from utterance id to a fixed-dimension embedding vector.
 
-    The vectors are the rows of one contiguous float64 matrix, found through
-    an id -> row dict, so gathering any set of ids is one fancy index. They
-    are rounded through float32 on insertion, matching the precision of the
-    binary file format.
+    The vectors are the rows of one contiguous float32 matrix, the precision
+    of the binary file format, found through an id -> row dict, so gathering
+    any set of ids is one fancy index. ``matrix`` and ``mean_vector`` return
+    float64; ``get`` and ``items`` return read-only float32 rows.
     """
 
     def __init__(self, dim: int, kind: str):
@@ -82,7 +83,8 @@ class EmbeddingStore:
         self.dim = int(dim)
         self.kind = kind
         self._rows: dict[str, int] = {}
-        self._matrix = np.empty((0, self.dim))  # rows past len(self) are spare capacity
+        # rows past len(self) are spare capacity
+        self._matrix = np.empty((0, self.dim), dtype=np.float32)
 
     @classmethod
     def _from_matrix(cls, kind: str, utterance_ids: list, matrix: np.ndarray) -> "EmbeddingStore":
@@ -105,13 +107,13 @@ class EmbeddingStore:
         if not finite.all():
             first = utterance_ids[int(np.argmin(finite.all(axis=1)))]
             raise ValueError(f"vector for {first!r} contains non-finite values")
-        store._matrix = matrix.astype(np.float32, copy=False).astype(np.float64)
+        store._matrix = matrix.astype(np.float32, copy=False)
         return store
 
     @staticmethod
     def grown_bytes(rows: int, dim: int) -> int:
         """Size of the matrix that ``add`` grows, by doubling, to hold ``rows``."""
-        return 8 * dim * max(16, 1 << (rows - 1).bit_length())
+        return 4 * dim * max(16, 1 << (rows - 1).bit_length())
 
     def add(self, utterance_id: str, vector) -> None:
         if not utterance_id:
@@ -127,10 +129,10 @@ class EmbeddingStore:
             raise ValueError(f"vector for {utterance_id!r} contains non-finite values")
         row = len(self._rows)
         if row == len(self._matrix):
-            grown = np.empty((max(16, 2 * row), self.dim))
+            grown = np.empty((max(16, 2 * row), self.dim), dtype=np.float32)
             grown[:row] = self._matrix[:row]
             self._matrix = grown
-        self._matrix[row] = arr.astype(np.float32)
+        self._matrix[row] = arr
         self._rows[utterance_id] = row
 
     def _vectors(self) -> np.ndarray:
@@ -173,14 +175,14 @@ class EmbeddingStore:
         return np.array(index, dtype=np.intp)
 
     def matrix(self, utterance_ids) -> np.ndarray:
-        """Rows for the given ids, in order; reports all missing ids at once."""
-        return self._matrix[self.index(utterance_ids)]
+        """Rows for the given ids as float64, in order; reports all missing ids at once."""
+        return self._matrix[self.index(utterance_ids)].astype(np.float64)
 
     def mean_vector(self) -> np.ndarray:
         """Store-wide mean, used as the zero-information stand-in vector."""
         if not self._rows:
             raise ValueError(f"{self.kind} store is empty")
-        return np.mean(self._vectors(), axis=0)
+        return np.mean(self._vectors(), axis=0, dtype=np.float64)
 
 
 def enrollment_embedding(store: EmbeddingStore, utterance_ids) -> np.ndarray:
@@ -237,6 +239,9 @@ def _load_binary_store(raw: bytes, kind: str) -> EmbeddingStore:
             f"truncated store: header declares {count} records of dimension {dim}, "
             f"but only {len(raw) - offset} bytes follow"
         )
+    fixed = _fixed_width_records(raw, offset, count, vec_bytes)
+    if fixed is not None:
+        return EmbeddingStore._from_matrix(kind, *fixed)
     ids = []
     starts = []  # byte offset of each record's vector
     for i in range(count):
@@ -261,6 +266,31 @@ def _load_binary_store(raw: bytes, kind: str) -> EmbeddingStore:
     )
     vectors = windows[np.array(starts, dtype=np.intp)].view("<f4")
     return EmbeddingStore._from_matrix(kind, ids, vectors)
+
+
+def _fixed_width_records(raw: bytes, offset: int, count: int, vec_bytes: int):
+    """The ids and the vector matrix of records whose ids all have one length.
+
+    Applies when the records from ``offset`` to the end of ``raw`` all have
+    the first record's id length and every id is ASCII. Returns None
+    otherwise, and the record-by-record loop then names what is wrong.
+    """
+    if not count:
+        return None
+    width = raw[offset] | raw[offset + 1] << 8
+    record = 2 + width + vec_bytes
+    if len(raw) - offset != count * record:
+        return None
+    body = np.frombuffer(raw, np.uint8, count * record, offset).reshape(count, record)
+    lengths = np.ndarray((count,), "<u2", raw, offset, (record,))
+    if not (lengths == width).all():
+        return None
+    encoded = body[:, 2 : 2 + width].tobytes()
+    if not encoded.isascii():
+        return None
+    text = encoded.decode("ascii")
+    ids = [text[i * width : (i + 1) * width] for i in range(count)]
+    return ids, body[:, 2 + width :].copy().view("<f4")
 
 
 def _load_tsv_store(text: str, kind: str) -> EmbeddingStore:

@@ -75,12 +75,17 @@ class Mlp:
 
 
 def _forward(model, block: str, x) -> tuple:
-    """Output and tape of one block; an overflowing layer is an error naming the block."""
+    """Output and tape of one block; an overflowing layer is an error naming the block.
+
+    The output is float64 whatever the network's dtype, so that everything
+    between networks runs in double precision.
+    """
     net = getattr(model, block)
     try:
-        return mlp_forward(net.spec, net.params, x)
+        out, tape = mlp_forward(net.spec, net.params, x)
     except NonFiniteError:
         raise NonFiniteError(f"activations of block {block} overflowed") from None
+    return out.astype(np.float64, copy=False), tape
 
 
 def _encoder_spec(in_dim: int) -> MlpSpec:
@@ -211,18 +216,24 @@ def _row_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _pair_cosine(a, b, rows, rows)
 
 
-def _unit_rows(a: np.ndarray) -> np.ndarray:
-    """Length-normalize each row.
+def _unit_rows(*blocks: np.ndarray) -> np.ndarray:
+    """Length-normalize each row of each block; the blocks side by side.
 
     Every network input block passes through this: ASV and CM embeddings
     arrive on very different scales, and without per-block normalization the
     larger block dominates the early gradient signal. Cosine scores are
-    scale-invariant, so only the MLP inputs are affected.
+    scale-invariant, so only the MLP inputs are affected. Each block is
+    divided straight into its columns of the result.
     """
-    norms = np.linalg.norm(a, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ValueError("cannot length-normalize a zero embedding")
-    return a / norms
+    out = np.empty((len(blocks[0]), sum(a.shape[1] for a in blocks)))
+    start = 0
+    for a in blocks:
+        norms = np.linalg.norm(a, axis=1, keepdims=True)
+        if np.any(norms == 0.0):
+            raise ValueError("cannot length-normalize a zero embedding")
+        np.divide(a, norms, out=out[:, start : start + a.shape[1]])
+        start += a.shape[1]
+    return out
 
 
 def _row_cce(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -313,7 +324,7 @@ def make_msfm(
 
 def _msfm_encode(model: MsfmModel, block: str, asv: np.ndarray, cm: np.ndarray) -> tuple:
     """One encoder's output for rows of utterances, and its tape."""
-    return _forward(model, block, np.column_stack([_unit_rows(asv), _unit_rows(cm)]))
+    return _forward(model, block, _unit_rows(asv, cm))
 
 
 def _msfm_heads(model: MsfmModel, enc_e, enc_t, cos_asv, cos_cm) -> tuple:
@@ -456,7 +467,15 @@ def _fit(model, config: TrainConfig, batch_size: int, names: tuple,
     one loss per name in ``names`` followed by the gradients for
     ``model.tensors()``. A history row holds the mean of each loss over the
     epoch, and their sum as ``loss_total`` when there are several.
+
+    The networks train in float32, which halves the bytes that every step
+    moves. They return to float64 after the last step, which holds their
+    values exactly, so the trained model scores like its checkpoint. A
+    network left with non-finite parameters is an error naming its block.
     """
+    blocks = SYSTEMS[system_name(model)].blocks
+    for name in blocks:
+        getattr(model, name).params.cast(np.float32)
     tensors = model.tensors()
     state = OptimizerState()
     history = []
@@ -482,6 +501,15 @@ def _fit(model, config: TrainConfig, batch_size: int, names: tuple,
         if len(sums) > 1:
             row["loss_total"] = sum(sums) / len(items)
         history.append(row)
+    for name in blocks:
+        net = getattr(model, name)
+        net.params.cast(np.float64)
+        try:
+            net.params.validate_for(net.spec)
+        except NonFiniteError:
+            raise RuntimeError(
+                f"non-finite parameters of block {name} after the last step"
+            ) from None
     return history
 
 
@@ -554,10 +582,9 @@ def _iep_pass(model: IepModel, asv_rows: np.ndarray, cm_rows: np.ndarray) -> tup
     The projector head sees the trunk features next to the raw embeddings,
     so the output keeps a direct linear path from its inputs.
     """
-    x = _unit_rows(asv_rows)
-    y = _unit_rows(cm_rows)
-    h, tape_h = _forward(model, "trunk", np.column_stack([x, y]))
-    z, tape_z = _forward(model, "projector", np.column_stack([h, x, y]))
+    xy = _unit_rows(asv_rows, cm_rows)
+    h, tape_h = _forward(model, "trunk", xy)
+    z, tape_z = _forward(model, "projector", np.column_stack([h, xy]))
     return z, tape_h, tape_z
 
 
@@ -661,12 +688,10 @@ class Baseline2Model:
 def _baseline2_input(t, e=slice(None), k=slice(None)) -> np.ndarray:
     """Unit-length enrollment ASV, test ASV and test CM rows, one trial a row.
 
-    Trial i reads rows ``e[i]`` and ``k[i]`` of a TrialTables or PairBatch;
-    each gather is normalized before the next. Enrollment CM is no input.
+    Trial i reads rows ``e[i]`` and ``k[i]`` of a TrialTables or PairBatch.
+    Enrollment CM is no input.
     """
-    return np.column_stack(
-        [_unit_rows(t.enroll_asv[e]), _unit_rows(t.test_asv[k]), _unit_rows(t.test_cm[k])]
-    )
+    return _unit_rows(t.enroll_asv[e], t.test_asv[k], t.test_cm[k])
 
 
 def make_baseline2(

@@ -14,7 +14,7 @@ from sasvkit.data import (
     parse_trial_list,
     write_embedding_store,
 )
-from sasvkit.models import make_iep, save_model
+from sasvkit.models import make_iep, make_msfm, save_model
 from test_data import FUZZ_ENROLLMENT, garbled_text
 
 SYNTH_ARTIFACTS = (
@@ -569,16 +569,30 @@ class TestTextEncoding:
 
 
 class TestOverflowingCheckpoint:
-    def test_evaluate_names_the_overflowing_block(self, corpus, tmp_path, run_cli,
-                                                  monkeypatch):
+    def test_train_refuses_to_write_non_finite_weights(self, corpus, tmp_path, run_cli,
+                                                       monkeypatch):
+        # one step at this rate makes the weights non-finite; no checkpoint is written
         monkeypatch.setenv("SASV_LOG", "error")
         trained = run_cli("train", "--model", "msfm", "--asv-store", corpus / "asv.emb",
                           "--cm-store", corpus / "cm.emb", "--protocol", corpus / "protocol.txt",
                           "--out", tmp_path / "train", "--set", "learning_rate=1e308",
                           "--set", "epochs=1", "--set", "samples_per_epoch=64")
-        assert trained.returncode == 0, trained.stderr
+        assert trained.returncode == 1
+        assert trained.stderr.splitlines() == [
+            "ERROR sasvkit: non-finite parameters of block enroll_encoder after the last step"
+        ], trained.stderr
+        assert not (tmp_path / "train" / "model.ckpt").exists()
+
+    def test_evaluate_names_the_overflowing_block(self, corpus, tmp_path, run_cli,
+                                                  monkeypatch):
+        # finite weights whose activations overflow
+        monkeypatch.setenv("SASV_LOG", "error")
+        model = make_msfm(asv_dim=16, cm_dim=12)
+        for tensor in model.tensors():
+            tensor *= 1e300
+        save_model(model, tmp_path / "model.ckpt")
         result = run_cli(*evaluate_args(corpus, tmp_path / "eval", model="msfm",
-                                        checkpoint=tmp_path / "train" / "model.ckpt"))
+                                        checkpoint=tmp_path / "model.ckpt"))
         assert result.returncode == 1
         lines = result.stderr.splitlines()
         assert len(lines) == 1, result.stderr

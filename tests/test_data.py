@@ -13,6 +13,7 @@ from sasvkit.data import (
     EmbeddingStore,
     TrialRecord,
     UtteranceRecord,
+    _fixed_width_records,
     enrollment_embedding,
     load_embedding_store,
     parse_cm_protocol,
@@ -241,6 +242,26 @@ class TestEmbeddingStore:
             store.add(f"U{rows}", [1.0, 2.0, 3.0])
             assert EmbeddingStore.grown_bytes(rows, 3) == store._matrix.nbytes, rows
 
+    def test_holds_float32_and_hands_out_float64(self, tmp_path):
+        store = make_store(dim=3, n=4)
+        write_embedding_store(store, tmp_path / "s.emb")
+        for held in (store, load_embedding_store(tmp_path / "s.emb", "asv")):
+            assert held._matrix.dtype == np.float32
+            assert held.matrix(["U001", "U000"]).dtype == np.float64
+            assert held.mean_vector().dtype == np.float64
+
+    @pytest.mark.parametrize("n, dim", [(1, 1), (2, 3), (17, 5), (4099, 192), (48000, 8)])
+    def test_means_equal_float64_recomputations(self, n, dim):
+        rng = np.random.default_rng(n + dim)
+        ids = [f"U{i}" for i in range(n)]
+        matrix = (rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-3, 4, (n, 1)))
+        store = EmbeddingStore._from_matrix("cm", ids, matrix.astype(np.float32))
+        wide = store._vectors().astype(np.float64)
+        assert np.array_equal(store.mean_vector(), np.mean(wide, axis=0))
+        enroll = ids[::3]
+        assert np.array_equal(enrollment_embedding(store, enroll),
+                              np.mean(wide[::3], axis=0))
+
     def test_mean_vector(self):
         store = EmbeddingStore(2, "cm")
         store.add("A", [1.0, 0.0])
@@ -346,6 +367,13 @@ class TestStoreSerialization:
         with pytest.raises(ValueError):
             load_embedding_store(path, "asv")
 
+    @pytest.mark.parametrize("fmt", ["binary", "tsv"])
+    def test_round_trip_keeps_the_bytes(self, tmp_path, fmt):
+        first, second = tmp_path / "first", tmp_path / "second"
+        write_embedding_store(make_store(dim=6, n=40, seed=5), first, fmt=fmt)
+        write_embedding_store(load_embedding_store(first, "asv"), second, fmt=fmt)
+        assert first.read_bytes() == second.read_bytes()
+
     @settings(max_examples=25, deadline=None)
     @given(
         dim=st.integers(1, 16),
@@ -372,6 +400,7 @@ def binary_store_bytes(dim: int, records, count=None) -> bytes:
 
 
 GOOD_RECORDS = [("a", [1.0, 2.0]), ("bb", [3.0, 4.0]), ("c", [5.0, 6.0])]
+FIXED_RECORDS = [("aa", [1.0, 2.0]), ("bb", [3.0, 4.0]), ("cc", [5.0, 6.0])]
 
 # (case, file bytes, expected message)
 MALFORMED_STORES = [
@@ -393,11 +422,44 @@ MALFORMED_STORES = [
     ("zero-dim", binary_store_bytes(0, []), "dimension must be positive"),
     ("id-not-utf8", binary_store_bytes(2, GOOD_RECORDS).replace(b"bb", b"\xff\xfe"),
      "store record 1: utterance id is not UTF-8"),
+    # every id one length: the fixed-width path
+    ("fixed-duplicate-id", binary_store_bytes(2, FIXED_RECORDS + [("bb", [0.0, 1.0])]),
+     "duplicate utterance id 'bb'"),
+    ("fixed-empty-ids", binary_store_bytes(2, [("", [1.0, 2.0]), ("", [0.0, 1.0])]),
+     "utterance id must be non-empty"),
+    ("fixed-id-not-utf8", binary_store_bytes(2, FIXED_RECORDS).replace(b"bb", b"\xff\xfe"),
+     "store record 1: utterance id is not UTF-8"),
+    ("fixed-trailing", binary_store_bytes(2, FIXED_RECORDS) + b"xx",
+     "trailing bytes after last store record"),
+    ("fixed-length-flipped", binary_store_bytes(2, FIXED_RECORDS).replace(b"\x02\x00bb",
+                                                                       b"\x03\x00bb"),
+     "truncated store: record 2 incomplete"),
 ]
 
 
-def fuzz_store() -> bytes:
-    return binary_store_bytes(3, [(f"u{i}", [i + 1.0, -0.5, 2.0 ** i]) for i in range(4)])
+class TestFixedWidthRecords:
+    def test_applies_only_when_every_id_has_the_first_length(self):
+        fixed = binary_store_bytes(2, FIXED_RECORDS)
+        ids, vectors = _fixed_width_records(fixed, 16, len(FIXED_RECORDS), 8)
+        assert ids == ["aa", "bb", "cc"]
+        np.testing.assert_array_equal(vectors, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        assert _fixed_width_records(binary_store_bytes(2, GOOD_RECORDS), 16, 3, 8) is None
+
+    def test_both_paths_load_the_same_store(self, tmp_path):
+        # two-byte UTF-8 ids of one length are left to the record-by-record loop
+        for records in (FIXED_RECORDS, GOOD_RECORDS, [("é", [1.0, 2.0]), ("ü", [3.0, 4.0])]):
+            path = tmp_path / "s.emb"
+            path.write_bytes(binary_store_bytes(2, records))
+            store = load_embedding_store(path, "asv")
+            assert store.ids() == [u for u, _ in records]
+            np.testing.assert_array_equal(store.matrix(store.ids()), [v for _, v in records])
+
+
+# the first store takes the fixed-width path, the second the record loop
+FUZZ_STORES = [
+    binary_store_bytes(3, [(f"u{i}", [i + 1.0, -0.5, 2.0 ** i]) for i in range(4)]),
+    binary_store_bytes(3, [(f"u{5 * i}", [i + 1.0, -0.5, 2.0 ** i]) for i in range(4)]),
+]
 
 
 @pytest.fixture(scope="module")
@@ -433,16 +495,16 @@ class TestBinaryStoreRobustness:
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(fraction=st.floats(0.0, 1.0, exclude_max=True))
-    def test_truncation_fuzz(self, fuzz_dir, run_cli, fraction):
-        raw = fuzz_store()
+    @given(raw=st.sampled_from(FUZZ_STORES), fraction=st.floats(0.0, 1.0, exclude_max=True))
+    def test_truncation_fuzz(self, fuzz_dir, run_cli, raw, fraction):
         self.check_damaged(fuzz_dir, raw[: int(fraction * len(raw))], run_cli)
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(position=st.floats(0.0, 1.0, exclude_max=True), bit=st.integers(0, 7))
-    def test_byte_flip_fuzz(self, fuzz_dir, run_cli, position, bit):
-        raw = bytearray(fuzz_store())
+    @given(raw=st.sampled_from(FUZZ_STORES), position=st.floats(0.0, 1.0, exclude_max=True),
+           bit=st.integers(0, 7))
+    def test_byte_flip_fuzz(self, fuzz_dir, run_cli, raw, position, bit):
+        raw = bytearray(raw)
         raw[int(position * len(raw))] ^= 1 << bit
         self.check_damaged(fuzz_dir, bytes(raw), run_cli)
 

@@ -408,6 +408,27 @@ class TestTraining:
         m2, _ = train_msfm(ds.train_records, ds.asv_store, ds.cm_store, self.config(seed=2))
         assert any(not np.array_equal(a, b) for a, b in zip(m1.tensors(), m2.tensors()))
 
+    @pytest.mark.parametrize("train", [train_msfm, train_iep, train_baseline2])
+    def test_trained_model_is_float64_and_scores_like_its_checkpoint(self, tmp_path, train):
+        ds = small_synth()
+        model, _ = train(ds.train_records, ds.asv_store, ds.cm_store,
+                         self.config(epochs=1, samples_per_epoch=64))
+        for tensor in model.tensors():
+            assert tensor.dtype == np.float64
+            assert np.array_equal(tensor, tensor.astype(np.float32))  # trained in float32
+        save_model(model, tmp_path / "model.ckpt")
+        reloaded = load_model(tmp_path / "model.ckpt")
+        scores = score_trials(model, ds.eval_trials, ds.asv_store, ds.cm_store).scores
+        again = score_trials(reloaded, ds.eval_trials, ds.asv_store, ds.cm_store).scores
+        assert np.array_equal(scores, again)
+
+    def test_non_finite_parameters_after_the_last_step_name_the_block(self):
+        ds = small_synth()
+        config = self.config(epochs=1, samples_per_epoch=32, learning_rate=1e308)
+        with pytest.raises(RuntimeError, match="^non-finite parameters of block "
+                                               "enroll_encoder after the last step$"):
+            train_msfm(ds.train_records, ds.asv_store, ds.cm_store, config)
+
     def test_non_finite_loss_aborts_with_location(self):
         ds = small_synth()
         config = self.config(optimizer="sgd", learning_rate=1e200)

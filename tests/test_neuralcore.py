@@ -1,6 +1,7 @@
 """Unit tests for the dense network engine."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from sasvkit.neuralcore import (
     _STEP_BLOCK,
+    _elu_backward,
+    _elu_inplace,
     Elu,
     FullyConnected,
     MlpParams,
@@ -55,6 +58,37 @@ class TestElu:
             elu([1.0, np.nan])
         with pytest.raises(ValueError):
             elu([np.inf])
+
+    def test_elu_after_elu_keeps_the_first_output_on_the_tape(self):
+        spec = MlpSpec((FullyConnected(1, 1), Elu(), Elu()))
+        params = MlpParams(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
+        out, tape = mlp_forward(spec, params, np.array([[-1.0]]))
+        assert tape[1][1][0, 0] == math.expm1(-1.0)
+        assert out[0, 0] == math.expm1(math.expm1(-1.0))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_in_place_form_matches_the_where_form(self, dtype):
+        rng = np.random.default_rng(4)
+        values = (rng.standard_normal(4000) * 10.0 ** rng.integers(-40, 2, 4000)).astype(dtype)
+        values[:3] = [0.0, np.finfo(dtype).tiny, -np.finfo(dtype).tiny]
+        reference = np.where(values > 0, values, np.expm1(values))
+        got = values.copy()
+        _elu_inplace(got)
+        assert got.tobytes() == reference.tobytes()
+        negative_zero = np.array([-0.0], dtype=dtype)
+        _elu_inplace(negative_zero)
+        assert negative_zero[0] == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_backward_matches_the_three_temporary_form(self, dtype):
+        rng = np.random.default_rng(5)
+        out = elu(rng.standard_normal(4000) * 4).astype(dtype).reshape(40, 100)
+        out[0, :3] = 0.0
+        grad = rng.standard_normal((40, 100)).astype(dtype)
+        reference = grad * np.where(out > 0, 1.0, out + 1.0)
+        got = _elu_backward(grad, out)
+        assert got.dtype == dtype
+        assert got.tobytes() == reference.tobytes()
 
     @given(st.lists(finite_floats, min_size=1, max_size=20))
     def test_monotone_and_bounded_below(self, values):
@@ -145,6 +179,24 @@ class TestMlpForward:
             single_out, _ = mlp_forward(spec, params, xs[i : i + 1])
             # BLAS may take another kernel for one row, differing in the last ulp
             np.testing.assert_allclose(batch_out[i], single_out[0], atol=1e-12)
+
+    def test_runs_in_the_parameters_dtype(self):
+        rng = np.random.default_rng(9)
+        spec = MlpSpec((FullyConnected(5, 7), Elu(), FullyConnected(7, 3)))
+        wide = MlpParams.init(spec, rng)
+        narrow = MlpParams(list(wide.weights), list(wide.biases))
+        narrow.cast(np.float32)
+        x = rng.standard_normal((6, 5))
+        dout = rng.standard_normal((6, 3))
+        out64, tape64 = mlp_forward(spec, wide, x)
+        out32, tape32 = mlp_forward(spec, narrow, x)
+        grads32, dx32 = mlp_backward(spec, narrow, tape32, dout)
+        grads64, dx64 = mlp_backward(spec, wide, tape64, dout)
+        assert wide.weights[0].dtype == np.float64
+        for arr in [out32, dx32] + [v for _, v in tape32] + grads32.tensors():
+            assert arr.dtype == np.float32
+        for a, b in zip([out32, dx32] + grads32.tensors(), [out64, dx64] + grads64.tensors()):
+            np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5)
 
     def test_wrong_input_dim_names_layer(self):
         spec = MlpSpec((FullyConnected(4, 2),))
@@ -337,14 +389,22 @@ def mixed_gradients(rng) -> list:
 class TestOptimizerStep:
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     def test_matches_reference_bit_for_bit(self, optimizer):
+        self.check_against_reference(optimizer, np.float64)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_float32_matches_reference_bit_for_bit(self, optimizer):
+        self.check_against_reference(optimizer, np.float32)
+
+    @staticmethod
+    def check_against_reference(optimizer, dtype):
         config = TrainConfig(learning_rate=3e-3, optimizer=optimizer)
         rng = np.random.default_rng(11)
-        params = [rng.standard_normal(shape) for shape in STEP_SHAPES]
+        params = [rng.standard_normal(shape).astype(dtype) for shape in STEP_SHAPES]
         expected = [p.copy() for p in params]
         reference = {"step": 0, "m": [], "v": []}
         state = None
         for _ in range(20):
-            grads = mixed_gradients(rng)
+            grads = [g.astype(dtype) for g in mixed_gradients(rng)]
             state = optimizer_step(params, grads, config, state)
             _reference_step(expected, grads, config, reference)
         assert state.step == reference["step"] == 20
@@ -352,6 +412,17 @@ class TestOptimizerStep:
         assert len(moments) == len(reference["m"] + reference["v"])
         for got, want in zip(params + moments, expected + reference["m"] + reference["v"]):
             assert got.tobytes() == want.tobytes()
+        # the moments and the scratch vectors take the parameters' dtype
+        assert all(t.dtype == dtype for t in params + moments + list(state.scratch))
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_overflowing_step_warns_nothing(self, optimizer):
+        config = TrainConfig(learning_rate=1e308, optimizer=optimizer)
+        params = [np.ones(3, dtype=np.float32)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            optimizer_step(params, [np.array([1.0, -1.0, 0.0], dtype=np.float32)], config)
+        assert not np.isfinite(params[0][:2]).any()
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     def test_non_finite_gradient_changes_nothing(self, optimizer):
