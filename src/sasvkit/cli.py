@@ -27,7 +27,6 @@ import sys
 from pathlib import Path
 
 from .data import (
-    EmbeddingStore,
     TrialList,
     load_embedding_store,
     parse_cm_protocol,
@@ -42,7 +41,7 @@ from .data import (
 from .metrics import ScoredTrials, evaluate_system, write_report
 from .models import SYSTEMS, load_model, save_model, score_trials, system_name
 from .neuralcore import TrainConfig
-from .sampling import SynthConfig, generate_synthetic
+from .sampling import SynthConfig, generate_synthetic, synth_bytes
 
 _LOG = logging.getLogger("sasvkit")
 
@@ -78,7 +77,7 @@ _REPORT_KEYS = frozenset(
 )
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """A problem with flags or configuration, reported with exit code 2."""
 
 
@@ -242,14 +241,13 @@ def _log_eers(command: str, report) -> None:
 
 
 def _check_corpus_fits(config: SynthConfig) -> None:
-    """Refuse a corpus whose two embedding stores exceed physical memory."""
-    rows = config.n_speakers * (config.utts_per_speaker + config.spoofs_per_speaker)
-    need = sum(EmbeddingStore.grown_bytes(rows, d) for d in (config.asv_dim, config.cm_dim))
+    """Refuse a corpus whose stores and draw block exceed physical memory."""
+    need = synth_bytes(config)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise UsageError(
-            f"n_speakers={config.n_speakers}: the embedding stores would need "
-            f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of memory"
+            f"n_speakers={config.n_speakers}: the embedding stores and a draw block would "
+            f"need {need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of memory"
         )
 
 

@@ -66,6 +66,16 @@ class TrialRecord:
             raise ValueError(f"label must be one of {TRIAL_LABELS}, got {self.label!r}")
 
 
+def _to_float32(values: np.ndarray) -> np.ndarray:
+    """``values`` as float32; a value beyond float32's range becomes inf, quietly.
+
+    Stores check finiteness after this cast, so such a value is refused as
+    non-finite instead of being stored as inf.
+    """
+    with np.errstate(over="ignore"):
+        return values.astype(np.float32, copy=False)
+
+
 class EmbeddingStore:
     """Mapping from utterance id to a fixed-dimension embedding vector.
 
@@ -103,24 +113,20 @@ class EmbeddingStore:
                 if utterance_id in seen:
                     raise ValueError(f"duplicate utterance id {utterance_id!r}")
                 seen.add(utterance_id)
-        finite = np.isfinite(matrix)
+        stored = _to_float32(matrix)
+        finite = np.isfinite(stored)
         if not finite.all():
             first = utterance_ids[int(np.argmin(finite.all(axis=1)))]
             raise ValueError(f"vector for {first!r} contains non-finite values")
-        store._matrix = matrix.astype(np.float32, copy=False)
+        store._matrix = stored
         return store
-
-    @staticmethod
-    def grown_bytes(rows: int, dim: int) -> int:
-        """Size of the matrix that ``add`` grows, by doubling, to hold ``rows``."""
-        return 4 * dim * max(16, 1 << (rows - 1).bit_length())
 
     def add(self, utterance_id: str, vector) -> None:
         if not utterance_id:
             raise ValueError("utterance id must be non-empty")
         if utterance_id in self._rows:
             raise ValueError(f"duplicate utterance id {utterance_id!r}")
-        arr = np.asarray(vector, dtype=np.float64)
+        arr = _to_float32(np.asarray(vector, dtype=np.float64))
         if arr.shape != (self.dim,):
             raise ValueError(
                 f"vector for {utterance_id!r} has shape {arr.shape}, expected ({self.dim},)"
@@ -425,6 +431,27 @@ class TrialList(Sequence):
         self.label_codes = label_codes
 
     @classmethod
+    def from_columns(cls, speakers: list, tests: list, label_codes: np.ndarray,
+                     enrollment_map: dict) -> "TrialList":
+        """The trials whose enrolled speakers, test utterances and label codes
+        are ``speakers``, ``tests`` and ``label_codes``.
+
+        Each distinct speaker is resolved against ``enrollment_map``; an error
+        names the first one that is missing or has no utterances.
+        """
+        distinct, enroll_index = _distinct(speakers)
+        enrollments = []
+        for speaker in distinct:
+            if speaker not in enrollment_map:
+                raise ValueError(f"speaker {speaker!r} missing from the enrollment map")
+            ids = tuple(enrollment_map[speaker])
+            if not ids:
+                raise ValueError("a trial needs at least one enrollment utterance")
+            enrollments.append((speaker, ids))
+        test_ids, test_index = _distinct(tests)
+        return cls(enrollments, test_ids, enroll_index, test_index, label_codes)
+
+    @classmethod
     def from_records(cls, records) -> "TrialList":
         records = list(records)
         enrollments, enroll_index = _distinct(
@@ -499,20 +526,17 @@ def parse_trial_list(text: str, enrollment_map: dict) -> TrialList:
         _check_trial_lines(text)
     speakers, tests, labels = columns
     codes = np.fromiter(map(_LABEL_CODES.__getitem__, labels), np.int8, len(labels))
-    distinct, enroll_index = _distinct(speakers)
-    enrollments = []
-    for speaker in distinct:
-        if speaker not in enrollment_map:
-            raise ValueError(f"speaker {speaker!r} missing from the enrollment map")
-        ids = tuple(enrollment_map[speaker])
-        if not ids:
-            raise ValueError("a trial needs at least one enrollment utterance")
-        enrollments.append((speaker, ids))
-    test_ids, test_index = _distinct(tests)
-    return TrialList(enrollments, test_ids, enroll_index, test_index, codes)
+    return TrialList.from_columns(speakers, tests, codes, enrollment_map)
 
 
 def write_trial_list(trials, path) -> None:
+    """Write ``enroll_speaker test_utterance label`` lines, in one write.
+
+    ``trials`` is a TrialList or any iterable of TrialRecords.
+    """
+    if not isinstance(trials, TrialList):
+        trials = TrialList.from_records(trials)
+    labels = map(TRIAL_LABELS.__getitem__, trials.label_codes.tolist())
+    lines = zip(trials.enroll_speakers(), trials.test_utterances(), labels)
     with open(path, "w", encoding="utf-8") as fh:
-        for trial in trials:
-            fh.write(f"{trial.enroll_speaker_id} {trial.test_utterance_id} {trial.label}\n")
+        fh.write("".join(f"{speaker} {test} {label}\n" for speaker, test, label in lines))

@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .data import EmbeddingStore, TrialRecord, UtteranceRecord
+from .data import EmbeddingStore, TrialList, UtteranceRecord
 
 PAIR_SCENARIOS = ("bonafide-same", "bonafide-diff", "spoof-same", "spoof-diff")
 PAIR_SCENARIO_WEIGHTS = (3.0, 1.66, 1.0, 1.0)
@@ -280,111 +280,148 @@ class SyntheticDataset:
     asv_store: EmbeddingStore
     cm_store: EmbeddingStore
     enrollment: dict
-    dev_trials: list
-    eval_trials: list
+    dev_trials: TrialList
+    eval_trials: TrialList
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
+_DRAW_BLOCK = 4096  # utterances per draw: bounds the float64 temporaries
+
+
+def _block_speakers(config: SynthConfig) -> int:
+    """Speakers per draw: those of about _DRAW_BLOCK utterances, at least one."""
+    return max(1, _DRAW_BLOCK // (config.utts_per_speaker + config.spoofs_per_speaker))
+
+
+def _channel_dims(config: SynthConfig) -> int:
+    """Coordinates that draw channel noise: none when its scale is zero."""
+    return config.asv_channel_dims if config.asv_channel_scale > 0 else 0
+
+
+def _normals_per_speaker(config: SynthConfig) -> int:
+    utterances = config.utts_per_speaker + config.spoofs_per_speaker
+    per_utterance = config.asv_dim + _channel_dims(config) + config.cm_dim
+    return config.asv_dim + config.cm_dim + utterances * per_utterance
+
+
+def synth_bytes(config: SynthConfig) -> int:
+    """Bytes of ``generate_synthetic``'s largest arrays: its two float32
+    stores and one float64 draw block, whose other temporaries are smaller."""
+    rows = config.n_speakers * (config.utts_per_speaker + config.spoofs_per_speaker)
+    block = min(config.n_speakers, _block_speakers(config))
+    return 4 * rows * (config.asv_dim + config.cm_dim) + 8 * block * _normals_per_speaker(config)
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """Divide every row of ``x`` (any leading axes) by its norm, in place.
+
+    The norm is ``sqrt(row @ row)``: a (1, d) @ (d, 1) matmul runs the BLAS
+    dot that ``np.linalg.norm`` runs on one vector, so every row gets the bits
+    of ``row / np.linalg.norm(row)``. A norm along an axis sums in another
+    order and differs in the last bit.
+    """
+    norms = np.sqrt(np.matmul(x[..., None, :], x[..., :, None]))[..., 0]
+    if not norms.all():
         raise ValueError("cannot normalize a zero vector")
-    return v / norm
+    x /= norms
+    return x
 
 
-def _split_three(items, n_dev, n_eval):
-    n_train = len(items) - n_dev - n_eval
-    return items[:n_train], items[n_train : n_train + n_dev], items[n_train + n_dev :]
+def _draw_embeddings(config: SynthConfig, rng: np.random.Generator) -> tuple:
+    """The float32 ASV and CM matrices, one row per utterance.
+
+    Row ``s * (utts_per_speaker + spoofs_per_speaker) + i`` is utterance i of
+    speaker s, its bonafide utterances first. Each block of speakers takes one
+    ``standard_normal`` call; the generator fills it in order, so the stream
+    is the one that drawing vector by vector would take: per speaker its ASV
+    mean direction and its CM trait, then per utterance its ASV noise, its
+    channel noise and its CM noise.
+    """
+    n_bona, n_spoof = config.utts_per_speaker, config.spoofs_per_speaker
+    per_speaker = n_bona + n_spoof
+    a, c, channel = config.asv_dim, config.cm_dim, _channel_dims(config)
+    # per utterance of a speaker: its ASV noise scale and its CM cluster mean
+    noise_scale = np.repeat([config.asv_noise, config.spoof_asv_spread], [n_bona, n_spoof])
+    cm_bona_mean = np.zeros(c)
+    cm_bona_mean[0] = 0.5 * config.cm_separation
+    cm_means = np.repeat([cm_bona_mean, -cm_bona_mean], [n_bona, n_spoof], axis=0)
+    asv = np.empty((config.n_speakers * per_speaker, a), dtype=np.float32)
+    cm = np.empty((config.n_speakers * per_speaker, c), dtype=np.float32)
+    block = _block_speakers(config)
+    for first in range(0, config.n_speakers, block):
+        n = min(block, config.n_speakers - first)
+        draw = rng.standard_normal(n * _normals_per_speaker(config)).reshape(n, -1)
+        rows = slice(first * per_speaker, (first + n) * per_speaker)
+        utterances = draw[:, a + c :].reshape(n, per_speaker, -1)
+        noise, channel_noise, cm_noise = np.split(utterances, [a, a + channel], axis=2)
+        # a setting large enough to overflow leaves non-finite rows, which the
+        # stores refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = _unit_rows(draw[:, :a])
+            traits = config.cm_speaker_scale * _unit_rows(draw[:, a : a + c])
+            noise *= noise_scale[:, None]
+            noise[..., :channel] += config.asv_channel_scale * channel_noise
+            noise += means[:, None]
+            asv[rows].reshape(noise.shape)[...] = _unit_rows(noise)
+            cm_noise += cm_means + traits[:, None]  # (cluster mean + trait) + noise
+            cm[rows].reshape(cm_noise.shape)[...] = cm_noise
+    return asv, cm
 
 
 def generate_synthetic(config: SynthConfig) -> SyntheticDataset:
     """Deterministically build a synthetic corpus from the configuration."""
     rng = np.random.default_rng(config.seed)
-    asv_store = EmbeddingStore(config.asv_dim, "asv")
-    cm_store = EmbeddingStore(config.cm_dim, "cm")
-    half = 0.5 * config.cm_separation
-    cm_bona_mean = np.zeros(config.cm_dim)
-    cm_bona_mean[0] = half
-    cm_spoof_mean = -cm_bona_mean
-
+    n_bona, n_spoof = config.utts_per_speaker, config.spoofs_per_speaker
+    per_speaker = n_bona + n_spoof
     speakers = [f"S{i:04d}" for i in range(config.n_speakers)]
-    bona_ids = {}
-    spoof_ids = {}
-    def draw_asv(mean, scale):
-        noise = scale * rng.standard_normal(config.asv_dim)
-        if config.asv_channel_dims and config.asv_channel_scale > 0:
-            noise[: config.asv_channel_dims] += (
-                config.asv_channel_scale * rng.standard_normal(config.asv_channel_dims)
-            )
-        return _unit(mean + noise)
+    suffixes = [f"_B{i:03d}" for i in range(n_bona)] + [f"_F{i:03d}" for i in range(n_spoof)]
+    ids = [speaker + suffix for speaker in speakers for suffix in suffixes]
+    asv, cm = _draw_embeddings(config, rng)
+    asv_store = EmbeddingStore._from_matrix("asv", ids, asv)
+    cm_store = EmbeddingStore._from_matrix("cm", ids, cm)
 
-    for speaker in speakers:
-        mean = _unit(rng.standard_normal(config.asv_dim))
-        trait = config.cm_speaker_scale * _unit(rng.standard_normal(config.cm_dim))
-        ids = []
-        for i in range(config.utts_per_speaker):
-            utt = f"{speaker}_B{i:03d}"
-            asv = draw_asv(mean, config.asv_noise)
-            cm = cm_bona_mean + trait + rng.standard_normal(config.cm_dim)
-            asv_store.add(utt, asv)
-            cm_store.add(utt, cm)
-            ids.append(utt)
-        bona_ids[speaker] = ids
-        ids = []
-        for i in range(config.spoofs_per_speaker):
-            utt = f"{speaker}_F{i:03d}"
-            asv = draw_asv(mean, config.spoof_asv_spread)
-            cm = cm_spoof_mean + trait + rng.standard_normal(config.cm_dim)
-            asv_store.add(utt, asv)
-            cm_store.add(utt, cm)
-            ids.append(utt)
-        spoof_ids[speaker] = ids
-
-    # bonafide audio: enrollment first, then a train pool, then dev/eval tests
-    n_free = config.utts_per_speaker - config.enroll_per_speaker
-    n_dev_b = n_eval_b = max(1, n_free // 4)
-    n_dev_s = n_eval_s = max(1, config.spoofs_per_speaker // 4)
-
-    train_records = []
+    # bonafide audio: enrollment first, then a train pool, then dev/eval tests;
+    # spoofed audio: a train pool, then dev/eval tests
+    n_enroll = config.enroll_per_speaker
+    n_test_b = max(1, (n_bona - n_enroll) // 4)  # each of dev and eval
+    n_test_s = max(1, n_spoof // 4)
+    n_train_b = n_bona - n_enroll - 2 * n_test_b
+    n_train_s = n_spoof - 2 * n_test_s
+    systems = [f"A{1 + k % 3:02d}" for k in range(n_train_s)]
     enrollment = {}
-    dev_trials = []
-    eval_trials = []
-    splits = {}
-    for speaker in speakers:
-        utts = bona_ids[speaker]
-        enrollment[speaker] = tuple(utts[: config.enroll_per_speaker])
-        train_b, dev_b, eval_b = _split_three(
-            utts[config.enroll_per_speaker :], n_dev_b, n_eval_b
-        )
-        train_s, dev_s, eval_s = _split_three(spoof_ids[speaker], n_dev_s, n_eval_s)
-        splits[speaker] = (dev_b, eval_b, dev_s, eval_s)
-        for utt in train_b:
-            train_records.append(UtteranceRecord(utt, speaker, "bonafide", None))
-        for k, utt in enumerate(train_s):
-            train_records.append(
-                UtteranceRecord(utt, speaker, "spoof", f"A{1 + k % 3:02d}")
-            )
+    train_records = []
+    for s, speaker in enumerate(speakers):
+        own = ids[s * per_speaker : (s + 1) * per_speaker]
+        enrollment[speaker] = tuple(own[:n_enroll])
+        train_records += [UtteranceRecord(utt, speaker, "bonafide", None)
+                          for utt in own[n_enroll : n_enroll + n_train_b]]
+        train_records += [UtteranceRecord(utt, speaker, "spoof", system)
+                          for utt, system in zip(own[n_bona:], systems)]
 
-    for part, trials in (("dev", dev_trials), ("eval", eval_trials)):
-        for idx, speaker in enumerate(speakers):
-            dev_b, eval_b, dev_s, eval_s = splits[speaker]
-            own_bona = dev_b if part == "dev" else eval_b
-            own_spoof = dev_s if part == "dev" else eval_s
-            enroll = enrollment[speaker]
-            for utt in own_bona:
-                trials.append(TrialRecord(speaker, enroll, utt, "target"))
-            for step in range(1, config.nontarget_neighbors + 1):
-                other = speakers[(idx + step) % len(speakers)]
-                other_b = splits[other][0] if part == "dev" else splits[other][1]
-                for utt in other_b:
-                    trials.append(TrialRecord(speaker, enroll, utt, "nontarget"))
-            for utt in own_spoof:
-                trials.append(TrialRecord(speaker, enroll, utt, "spoof"))
+    id_array = np.array(ids)
+    speaker_rows = np.arange(config.n_speakers)[:, None]
+    neighbors = (speaker_rows + np.arange(1, config.nontarget_neighbors + 1)) % config.n_speakers
+    # codes 0, 1, 2: target, nontarget, spoof, the order of TRIAL_LABELS
+    codes = np.repeat(np.arange(3, dtype=np.int8),
+                      [n_test_b, config.nontarget_neighbors * n_test_b, n_test_s])
+    enrolled = np.repeat(speakers, len(codes)).tolist()
+
+    def trial_list(part: int) -> TrialList:
+        """Per speaker: its own bonafide tests, its neighbors' and its own spoofs."""
+        bona = n_enroll + n_train_b + part * n_test_b + np.arange(n_test_b)
+        spoof = n_bona + n_train_s + part * n_test_s + np.arange(n_test_s)
+        rows = np.hstack([
+            speaker_rows * per_speaker + bona,
+            (neighbors[..., None] * per_speaker + bona).reshape(config.n_speakers, -1),
+            speaker_rows * per_speaker + spoof,
+        ])
+        return TrialList.from_columns(enrolled, id_array[rows.ravel()].tolist(),
+                                      np.tile(codes, config.n_speakers), enrollment)
 
     return SyntheticDataset(
         train_records=train_records,
         asv_store=asv_store,
         cm_store=cm_store,
         enrollment=enrollment,
-        dev_trials=dev_trials,
-        eval_trials=eval_trials,
+        dev_trials=trial_list(0),
+        eval_trials=trial_list(1),
     )

@@ -10,6 +10,7 @@ from sasvkit.data import (
     TRIAL_LABELS,
     EmbeddingStore,
     load_embedding_store,
+    parse_cm_protocol,
     parse_enrollment_map,
     parse_trial_list,
     write_embedding_store,
@@ -452,6 +453,14 @@ class TestConfigPlumbing:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and "n_speakers" in lines[0], result.stderr
 
+    @pytest.mark.parametrize("setting", ["cm_separation=1e300", "cm_speaker_scale=1e300"])
+    def test_cm_values_beyond_single_precision_are_one_line(self, tmp_path, run_cli, setting):
+        result = run_cli("synth", "--out", tmp_path / "x", "--set", setting)
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            "ERROR sasvkit: vector for 'S0000_B000' contains non-finite values"]
+        assert not list((tmp_path / "x").iterdir())
+
     def test_bad_log_level_is_a_usage_error(self, monkeypatch, tmp_path):
         monkeypatch.setenv("SASV_LOG", "chatty")
         assert main(["synth", "--out", str(tmp_path / "x")]) == 2
@@ -492,8 +501,18 @@ TRIAL_LINES = st.tuples(st.sampled_from(["S0", "S1"]), st.sampled_from(["T1", "T
                         st.sampled_from(TRIAL_LABELS))
 
 
-def one_error_line(result, message: str) -> None:
-    assert result.returncode == 1, result.stderr
+ENROLLMENT_LINES = st.tuples(st.sampled_from(["S0", "S1"]),
+                             st.sampled_from(["U1", "U1,U2", ",U2"]))
+PROTOCOL_LINES = st.tuples(st.sampled_from(["S0", "S1"]), st.sampled_from(["U1", "U2"]),
+                           st.just("-"), st.sampled_from(["-", "A01"]),
+                           st.sampled_from(["bonafide", "spoof"]))
+CONFIG_LINES = st.tuples(st.sampled_from(["seed", "n_speakers"]), st.just("="),
+                         st.sampled_from(["3", "7 # note"]))
+CONFIG_FIELDS = st.sampled_from(["seed", "n_speakers", "=", "3", "#", "x=1", "", "\u00fc"])
+
+
+def one_error_line(result, message: str, code: int = 1) -> None:
+    assert result.returncode == code, result.stderr
     assert result.stderr.splitlines() == [f"ERROR sasvkit: {message}"]
 
 
@@ -540,6 +559,55 @@ class TestGarbledText:
                          "--enrollment", garbled_dir / "enrollment.txt",
                          "--out", garbled_dir / "eval")
         one_error_line(result, message)
+
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=garbled_text(ENROLLMENT_LINES))
+    def test_garbled_enrollment_map_is_one_line(self, corpus, garbled_dir, run_cli, text):
+        path = garbled_dir / "garbled_enrollment.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            parse_enrollment_map(text)
+            return
+        except ValueError as exc:
+            message = str(exc)
+        assert re.match(r"line \d+: ", message)
+        result = run_cli("evaluate", "--model", "baseline1", "--asv-store", corpus / "asv.emb",
+                         "--cm-store", corpus / "cm.emb", "--trials", garbled_dir / "trials.txt",
+                         "--enrollment", path, "--out", garbled_dir / "eval")
+        one_error_line(result, message)
+
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=garbled_text(PROTOCOL_LINES))
+    def test_garbled_cm_protocol_is_one_line(self, corpus, garbled_dir, run_cli, text):
+        path = garbled_dir / "garbled_protocol.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            parse_cm_protocol(text)
+            return
+        except ValueError as exc:
+            message = str(exc)
+        assert re.match(r"line \d+: ", message)
+        result = run_cli("train", "--model", "msfm", "--asv-store", corpus / "asv.emb",
+                         "--cm-store", corpus / "cm.emb", "--protocol", path,
+                         "--out", garbled_dir / "train")
+        one_error_line(result, message)
+
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=garbled_text(CONFIG_LINES, CONFIG_FIELDS))
+    def test_garbled_config_file_is_one_line(self, garbled_dir, run_cli, text):
+        path = garbled_dir / "garbled_config.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            parse_kv_text(text, source=str(path))
+            return
+        except ValueError as exc:
+            message = str(exc)
+        assert message.startswith(f"{path} line ")
+        result = run_cli("synth", "--config", path, "--out", garbled_dir / "synth")
+        one_error_line(result, message, code=2)
 
 
 class TestTextEncoding:

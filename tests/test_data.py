@@ -236,11 +236,14 @@ class TestEmbeddingStore:
         store.add("U1", [value])
         assert store.get("U1")[0] == np.float64(np.float32(value))
 
-    def test_grown_bytes_is_the_size_add_grows_to(self):
-        store = EmbeddingStore(3, "asv")
-        for rows in range(1, 40):
-            store.add(f"U{rows}", [1.0, 2.0, 3.0])
-            assert EmbeddingStore.grown_bytes(rows, 3) == store._matrix.nbytes, rows
+    @pytest.mark.parametrize("value", [1e39, -3.5e38])
+    def test_value_beyond_single_precision_is_refused(self, recwarn, value):
+        store = EmbeddingStore(2, "cm")
+        with pytest.raises(ValueError, match="'U1' contains non-finite values"):
+            store.add("U1", [value, 0.5])
+        with pytest.raises(ValueError, match="'U2' contains non-finite values"):
+            EmbeddingStore._from_matrix("cm", ["U1", "U2"], np.array([[0.5, 0.5], [0.5, value]]))
+        assert len(store) == 0 and not recwarn.list
 
     def test_holds_float32_and_hands_out_float64(self, tmp_path):
         store = make_store(dim=3, n=4)
@@ -366,6 +369,20 @@ class TestStoreSerialization:
         path.write_text("utt1\tnan\n")
         with pytest.raises(ValueError):
             load_embedding_store(path, "asv")
+
+    def test_tsv_value_beyond_single_precision_rejected(self, tmp_path, run_cli):
+        path = tmp_path / "x.tsv"
+        path.write_text("u0\t0.25\t0.5\nu1\t1e39\t0.5\n")
+        message = "line 2: vector for 'u1' contains non-finite values"
+        with pytest.raises(ValueError, match=message):
+            load_embedding_store(path, "asv")
+        (tmp_path / "enrollment.txt").write_text("S0 u0\n")
+        (tmp_path / "trials.txt").write_text("S0 u1 target\n")
+        result = run_cli("evaluate", "--model", "baseline1", "--asv-store", path,
+                         "--cm-store", path, "--trials", tmp_path / "trials.txt",
+                         "--enrollment", tmp_path / "enrollment.txt", "--out", tmp_path / "out")
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [f"ERROR sasvkit: {message}"]
 
     @pytest.mark.parametrize("fmt", ["binary", "tsv"])
     def test_round_trip_keeps_the_bytes(self, tmp_path, fmt):

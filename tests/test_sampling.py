@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sasvkit.data import UtteranceRecord
+from sasvkit import sampling
+from sasvkit.cli import main
+from sasvkit.data import UtteranceRecord, parse_enrollment_map, parse_trial_list
 from sasvkit.sampling import (
     PAIR_SCENARIO_WEIGHTS,
     PAIR_SCENARIOS,
@@ -19,6 +21,7 @@ from sasvkit.sampling import (
     generate_synthetic,
     sample_training_pairs,
     sample_triplets,
+    synth_bytes,
 )
 from test_acceptance import small_corpus
 
@@ -314,8 +317,9 @@ class TestGenerateSynthetic:
         train_ids = {r.utterance_id for r in ds.train_records}
         for speaker, utts in ds.enrollment.items():
             assert not train_ids.intersection(utts)
-        for trial in ds.dev_trials + ds.eval_trials:
-            assert trial.test_utterance_id not in train_ids
+        for trials in (ds.dev_trials, ds.eval_trials):
+            for trial in trials:
+                assert trial.test_utterance_id not in train_ids
 
     def test_trial_composition(self):
         config = small_synth()
@@ -461,3 +465,99 @@ class TestGenerateSynthetic:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be non-negative"):
             SynthConfig(seed=-1)
+
+
+class TestPinnedSynth:
+    """sha256 of every file ``synth`` writes, recorded from the generator that
+    drew one vector at a time and added it to the stores row by row: any
+    change to the random stream, to the arithmetic or to a writer fails here."""
+
+    EDGE = ["--seed", "5", "--set", "n_speakers=7", "--set", "utts_per_speaker=9",
+            "--set", "spoofs_per_speaker=5", "--set", "enroll_per_speaker=2",
+            "--set", "nontarget_neighbors=3", "--set", "asv_dim=7", "--set", "cm_dim=3",
+            "--set", "cm_speaker_scale=0", "--set", "asv_channel_dims=7"]
+    DEFAULT_TEXT = {
+        "enrollment.txt": "d335b2a86cc6e3f4dcda01e6c906d8f67b3458919c26da50c8d4a62144f4d7d5",
+        "protocol.txt": "f11ce10a1371832fe625e983c17a194d0514b1caf9b98198766b6df9c9fbb9fa",
+        "trials_dev.txt": "3dc03d967b286e01432ba26626593b569c54b97dc22c3502bf1a216c5409aceb",
+        "trials_eval.txt": "1c86dd748853cd5b173ba05c6b2d11efc99a49805435614e4387fd0d1b835618",
+    }
+    CONFIGS = {
+        "default": ([], {
+            "asv.emb": "09ac2c2b05b7d294f18c6b00d05e1ca8b50d445674a890df5182b1aba4eb407c",
+            "cm.emb": "5e3124367621e741c76a0940c62c30e63df1ffb5c7ec94a5b38c57ecd90cf8cb",
+            "resolved_config.txt":
+                "dacdbdca6256f62ea94c3d056da4a965d6757b74607c0b55334866dce512de6d",
+            **DEFAULT_TEXT,
+        }),
+        "no-channel": (["--set", "asv_channel_dims=0"], {
+            "asv.emb": "89d992cef46fcb9fcbc7572b6b1c2b191286fe5721f30f79018f85d64ba32756",
+            "cm.emb": "dc97db30b924fe71a23616478260d8831a44748610465dfdb3bc30c072be93fb",
+            "resolved_config.txt":
+                "ddd4519ee793684e25c3497fad38d56a0d2fe12260eefb7846fa37ff952c13d2",
+            **DEFAULT_TEXT,
+        }),
+        "edge": (EDGE, {
+            "asv.emb": "89b9e92afd7d0702317a09339fd2a777a840875a5067e717017ded43ccf2e296",
+            "cm.emb": "8c7e4844eed20b88f9400d3b1588839c01ec15a4e1dfb7d33bbc586b46500edd",
+            "enrollment.txt": "a38556ee1e604b2d68dc23fad230630023e48587a9b336178ee66416d10ec7d0",
+            "protocol.txt": "1e458ba7b324b9f6538d258367f2efc53884ff5e6f61ae597ae80c501601a429",
+            "resolved_config.txt":
+                "82dfe7be5666e3c4b62ade68d0d53e7eebc4d3540c1ab9700fc7fdc49a563fcc",
+            "trials_dev.txt": "f989c28d528aabff143d045d619307ad53091e97c4d5492c5c30e6083feb2a84",
+            "trials_eval.txt": "be03642b2618ceeb8e615b6c5260a7e5bd502682cc306edfb4c8269de8f50795",
+        }),
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_synth_keeps_its_bytes(self, tmp_path, name):
+        args, expected = self.CONFIGS[name]
+        assert main(["synth", "--out", str(tmp_path), *args]) == 0
+        written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.iterdir()}
+        assert written == expected
+
+    def test_trial_lists_equal_a_parse_of_the_written_files(self, tmp_path):
+        settings = dict(n_speakers=6, utts_per_speaker=8, spoofs_per_speaker=6,
+                        nontarget_neighbors=3, seed=99)
+        ds = generate_synthetic(SynthConfig(**settings))
+        assert main(["synth", "--out", str(tmp_path),
+                     *(f"--set={key}={value}" for key, value in settings.items())]) == 0
+        enrollment = parse_enrollment_map((tmp_path / "enrollment.txt").read_text())
+        for name, trials in (("trials_dev.txt", ds.dev_trials),
+                             ("trials_eval.txt", ds.eval_trials)):
+            parsed = parse_trial_list((tmp_path / name).read_text(), enrollment)
+            assert trials.enrollments == parsed.enrollments
+            assert trials.test_ids == parsed.test_ids
+            for column in ("enroll_index", "test_index", "label_codes"):
+                got, want = getattr(trials, column), getattr(parsed, column)
+                assert got.dtype == want.dtype and np.array_equal(got, want), column
+
+
+class TestSynthMemory:
+    """``synth_bytes`` counts the two float32 stores and the largest draw."""
+
+    @pytest.mark.parametrize("overrides, draws", [
+        ({}, 1),  # the default corpus is one block
+        (dict(n_speakers=200, asv_dim=8, cm_dim=4, asv_channel_dims=2), 3),
+        (dict(n_speakers=3, utts_per_speaker=3000, spoofs_per_speaker=3000, asv_dim=4,
+              cm_dim=2, asv_channel_dims=1), 3),  # a speaker larger than a block
+    ])
+    def test_counts_the_stores_and_the_largest_draw(self, monkeypatch, overrides, draws):
+        config = SynthConfig(**overrides)
+        sizes = []
+        default_rng = np.random.default_rng
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, size):
+                sizes.append(size)
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(sampling.np.random, "default_rng", Recording)
+        ds = generate_synthetic(config)
+        stores = ds.asv_store._matrix.nbytes + ds.cm_store._matrix.nbytes
+        assert len(sizes) == draws
+        assert synth_bytes(config) == stores + 8 * max(sizes)
