@@ -74,18 +74,20 @@ class Mlp:
         return mlp_backward(self.spec, self.params, tape, grad_out)
 
 
-def _forward(model, block: str, x) -> tuple:
-    """Output and tape of one block; an overflowing layer is an error naming the block.
+def _forward(model, block: str, x, tape: list | None = None) -> np.ndarray:
+    """Output of one block; an overflowing layer is an error naming the block.
 
-    The output is float64 whatever the network's dtype, so that everything
-    between networks runs in double precision.
+    Training passes a list for ``tape``, which ``mlp_forward`` fills for the
+    backward pass; scoring passes none. The output is float64 whatever the
+    network's dtype, so that everything between networks runs in double
+    precision.
     """
     net = getattr(model, block)
     try:
-        out, tape = mlp_forward(net.spec, net.params, x)
+        out = mlp_forward(net.spec, net.params, x, tape)
     except NonFiniteError:
         raise NonFiniteError(f"activations of block {block} overflowed") from None
-    return out.astype(np.float64, copy=False), tape
+    return out.astype(np.float64, copy=False)
 
 
 def _encoder_spec(in_dim: int) -> MlpSpec:
@@ -160,21 +162,23 @@ def _baseline2_spec(in_dim: int) -> MlpSpec:
 
 # Rows per block wherever scoring runs over rows: the cosine gathers, and
 # every network of score_batch, so that no per-trial array but the scores
-# grows with the trial list.
-_ROW_BLOCK = 4096
+# grows with the trial list. A block's activations are its scoring peak
+# (baseline2: two of 2048 x 1024 float64, 34 MB).
+_ROW_BLOCK = 2048
 
 
 def _row_blocks(n: int) -> list:
     """Slices that split rows ``0..n`` into consecutive blocks of _ROW_BLOCK rows.
 
-    Fewer than _ROW_BLOCK rows are one block, the same call as unblocked. A
-    last block shorter than half a block is merged into the one before it, so
-    that no block has fewer than _ROW_BLOCK // 2 rows. That keeps the scores
-    bit-identical to one call over all rows: OpenBLAS (0.3.31, Haswell
-    kernels) rounds ``x @ W.T`` differently in short calls. For a layer with
-    two outputs that is below about 600 rows (64 -> 2: up to 591 rows;
-    1024 -> 2: up to 397), for 320 -> 128 below 10 and for 128 -> 64 below
-    19, while blocks of 2048 to 6143 rows matched a 101k-row call exactly.
+    Up to _ROW_BLOCK rows are one block, the same call as unblocked. Beyond
+    that, a last block shorter than half a block is merged into the one
+    before it, so every block holds _ROW_BLOCK // 2 to 3 * _ROW_BLOCK // 2 - 1
+    rows (1024 to 3071). That keeps the scores bit-identical to one call over
+    all rows: OpenBLAS (0.3.31, Haswell kernels) rounds ``x @ W.T``
+    differently in short calls. For a layer with two outputs that is below
+    about 600 rows (64 -> 2: up to 591 rows; 1024 -> 2: up to 397), for
+    320 -> 128 below 10 and for 128 -> 64 below 19, while blocks of 1024 to
+    3071 rows matched a 101k-row call exactly.
     """
     stops = list(range(_ROW_BLOCK, n, _ROW_BLOCK))
     if stops and n - stops[-1] < _ROW_BLOCK // 2:
@@ -284,10 +288,10 @@ class MsfmModel:
         """Fused target probability of each trial.
 
         The encoders run over blocks of table rows and the heads over blocks
-        of trials; each block's tapes are dropped with it.
+        of trials, recording no tape.
         """
         def encode(block, asv, cm):
-            return _blockwise(len(asv), lambda r: _msfm_encode(self, block, asv[r], cm[r])[0])
+            return _blockwise(len(asv), lambda r: _msfm_encode(self, block, asv[r], cm[r]))
 
         enc_e = encode("enroll_encoder", t.enroll_asv, t.enroll_cm)
         enc_t = encode("test_encoder", t.test_asv, t.test_cm)
@@ -322,23 +326,27 @@ def make_msfm(
     )
 
 
-def _msfm_encode(model: MsfmModel, block: str, asv: np.ndarray, cm: np.ndarray) -> tuple:
-    """One encoder's output for rows of utterances, and its tape."""
-    return _forward(model, block, _unit_rows(asv, cm))
+def _msfm_encode(model: MsfmModel, block: str, asv: np.ndarray, cm: np.ndarray,
+                 tape: list | None = None) -> np.ndarray:
+    """One encoder's output for rows of utterances; training passes a ``tape``."""
+    return _forward(model, block, _unit_rows(asv, cm), tape)
 
 
-def _msfm_heads(model: MsfmModel, enc_e, enc_t, cos_asv, cos_cm) -> tuple:
-    """Speaker-match logits, their softmax, fusion logits, and the two head tapes.
+def _msfm_heads(model: MsfmModel, enc_e, enc_t, cos_asv, cos_cm,
+                tapes: tuple = (None, None)) -> tuple:
+    """Speaker-match logits, their softmax and the fusion logits.
 
-    Each argument holds one row or value per trial.
+    Each argument holds one row or value per trial. Training passes two lists
+    as ``tapes``, for the verification head and the fusion head.
     """
-    s, tape_s = _forward(model, "verification_head", np.column_stack([enc_e, enc_t]))
+    tape_s, tape_v = tapes
+    s = _forward(model, "verification_head", np.column_stack([enc_e, enc_t]), tape_s)
     p_s = softmax(s)
     columns = [cos_asv, cos_cm]
     if model.use_sssv_score:
         columns.append(p_s[:, 1])
-    v, tape_v = _forward(model, "fusion_head", np.column_stack(columns))
-    return s, p_s, v, tape_s, tape_v
+    v = _forward(model, "fusion_head", np.column_stack(columns), tape_v)
+    return s, p_s, v
 
 
 def _msfm_pass(model: MsfmModel, batch):
@@ -346,11 +354,13 @@ def _msfm_pass(model: MsfmModel, batch):
 
     ``batch`` (a PairBatch) holds one enrollment and one test row per pair.
     """
-    enc_e, tape_e = _msfm_encode(model, "enroll_encoder", batch.enroll_asv, batch.enroll_cm)
-    enc_t, tape_t = _msfm_encode(model, "test_encoder", batch.test_asv, batch.test_cm)
-    s, p_s, v, tape_s, tape_v = _msfm_heads(
+    tape_e, tape_t, tape_s, tape_v = [], [], [], []
+    enc_e = _msfm_encode(model, "enroll_encoder", batch.enroll_asv, batch.enroll_cm, tape_e)
+    enc_t = _msfm_encode(model, "test_encoder", batch.test_asv, batch.test_cm, tape_t)
+    s, p_s, v = _msfm_heads(
         model, enc_e, enc_t,
         _row_cosine(batch.enroll_asv, batch.test_asv), _row_cosine(batch.enroll_cm, batch.test_cm),
+        (tape_s, tape_v),
     )
     return s, p_s, v, (tape_e, tape_t, tape_s, tape_v)
 
@@ -576,21 +586,23 @@ def make_iep(
     )
 
 
-def _iep_pass(model: IepModel, asv_rows: np.ndarray, cm_rows: np.ndarray) -> tuple:
-    """Projections of rows of utterances, plus the trunk and projector tapes.
+def _iep_pass(model: IepModel, asv_rows: np.ndarray, cm_rows: np.ndarray,
+              tapes: tuple = (None, None)) -> np.ndarray:
+    """Projections of rows of utterances.
 
     The projector head sees the trunk features next to the raw embeddings,
-    so the output keeps a direct linear path from its inputs.
+    so the output keeps a direct linear path from its inputs. Training passes
+    two lists as ``tapes``, for the trunk and the projector.
     """
+    tape_h, tape_z = tapes
     xy = _unit_rows(asv_rows, cm_rows)
-    h, tape_h = _forward(model, "trunk", xy)
-    z, tape_z = _forward(model, "projector", np.column_stack([h, xy]))
-    return z, tape_h, tape_z
+    h = _forward(model, "trunk", xy, tape_h)
+    return _forward(model, "projector", np.column_stack([h, xy]), tape_z)
 
 
 def iep_project(model: IepModel, asv_rows: np.ndarray, cm_rows: np.ndarray) -> np.ndarray:
     """Project rows of utterances into the scoring space, a block of rows at a time."""
-    return _blockwise(len(asv_rows), lambda r: _iep_pass(model, asv_rows[r], cm_rows[r])[0])
+    return _blockwise(len(asv_rows), lambda r: _iep_pass(model, asv_rows[r], cm_rows[r]))
 
 
 def triplet_loss(anchors, positives, negatives, margin: float) -> float:
@@ -624,9 +636,10 @@ def iep_batch_loss(model: IepModel, anchor_asv, anchor_cm, positive_asv, positiv
                    compute_grads: bool = True) -> tuple:
     """Triplet loss over raw embeddings, with gradients for model.tensors()."""
     c = anchor_asv.shape[0]
-    z, tape_h, tape_z = _iep_pass(
+    tape_h, tape_z = [], []
+    z = _iep_pass(
         model, np.vstack([anchor_asv, positive_asv, negative_asv]),
-        np.vstack([anchor_cm, positive_cm, negative_cm]),
+        np.vstack([anchor_cm, positive_cm, negative_cm]), (tape_h, tape_z),
     )
     norms = np.linalg.norm(z, axis=1)
     if np.any(norms == 0.0):
@@ -678,8 +691,8 @@ class Baseline2Model:
 
     def score_batch(self, t: TrialTables) -> np.ndarray:
         def block(rows):
-            v, _ = _forward(self, "mlp", _baseline2_input(t, t.enroll_index[rows],
-                                                          t.test_index[rows]))
+            v = _forward(self, "mlp", _baseline2_input(t, t.enroll_index[rows],
+                                                       t.test_index[rows]))
             return softmax(v)[:, 1]
 
         return _blockwise(len(t.enroll_index), block)
@@ -711,7 +724,8 @@ def make_baseline2(
 def baseline2_batch_loss(model: Baseline2Model, batch: PairBatch,
                          compute_grads: bool = True) -> tuple:
     n = batch.enroll_asv.shape[0]
-    v, tape = _forward(model, "mlp", _baseline2_input(batch))
+    tape = []
+    v = _forward(model, "mlp", _baseline2_input(batch), tape)
     loss = float(_row_cce(v, batch.sasv_target).mean())
     if not compute_grads:
         return loss, None

@@ -14,6 +14,11 @@ catches a non-finite parameter.
 The module also carries the training utilities shared by the back-ends:
 softmax / categorical cross-entropy, SGD and Adam steps, and a central
 finite-difference gradient checker.
+
+A forward pass records a tape, the activations its backward pass reads, only
+when its caller passes a list for it: training does, once per network and
+step. Scoring does not, so besides its input a scoring pass holds at most
+two activations of its block at a time.
 """
 
 from __future__ import annotations
@@ -193,15 +198,17 @@ def _elu_backward(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
     return slope
 
 
-def mlp_forward(spec: MlpSpec, params: MlpParams, x) -> tuple:
-    """Run the network on a batch of rows; return the output and the tape.
+def mlp_forward(spec: MlpSpec, params: MlpParams, x, tape: list | None = None) -> np.ndarray:
+    """Run the network on a batch of rows and return its output.
 
-    The tape lists what the backward pass reads: the input of each
-    fully-connected layer and the output of each ELU. A fully-connected layer
-    whose output holds an inf or a nan raises NonFiniteError naming the layer.
-    Every such layer is checked, since an ELU turns -inf into a finite -1. The
-    input is not swept separately: a non-finite input value makes its row of
-    layer 0's output non-finite, so layer 0's check reports it.
+    When ``tape`` is a list, the forward pass appends to it what the backward
+    pass reads: the input of each fully-connected layer and the output of
+    each ELU. Without one, only the activation being computed and the one it
+    reads are alive at a time. A fully-connected layer whose output holds an
+    inf or a nan raises NonFiniteError naming the layer. Every such layer is
+    checked, since an ELU turns -inf into a finite -1. The input is not swept
+    separately: a non-finite input value makes its row of layer 0's output
+    non-finite, so layer 0's check reports it.
     The input is cast to the parameters' dtype, and so is every activation.
     NumPy's warnings are silenced: an overflowing layer is reported by its check.
     """
@@ -212,12 +219,12 @@ def mlp_forward(spec: MlpSpec, params: MlpParams, x) -> tuple:
         raise ValueError(
             f"layer 0: expected input dim {spec.input_dim}, got {arr.shape[1]}"
         )
-    tape = []
     fc_index = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for i, layer in enumerate(spec.layers):
             if isinstance(layer, FullyConnected):
-                tape.append(("fc", arr))
+                if tape is not None:
+                    tape.append(("fc", arr))
                 arr = arr @ params.weights[fc_index].T
                 arr += params.biases[fc_index]
                 fc_index += 1
@@ -227,15 +234,16 @@ def mlp_forward(spec: MlpSpec, params: MlpParams, x) -> tuple:
             else:
                 # in place: a fully connected output is never taped, but the
                 # output of an ELU that this one follows is
-                if tape[-1][1] is arr:
+                if tape and tape[-1][1] is arr:
                     arr = arr.copy()
                 _elu_inplace(arr)
-                tape.append(("elu", arr))
-    return arr, tape
+                if tape is not None:
+                    tape.append(("elu", arr))
+    return arr
 
 
 def mlp_backward(spec: MlpSpec, params: MlpParams, tape: list, grad_out) -> tuple:
-    """Backpropagate a batch of output gradients through the taped forward pass.
+    """Backpropagate a batch of output gradients through a taped forward pass.
 
     Returns ``(grads, grad_input)`` where grads is an MlpParams-shaped
     container holding the parameter gradients summed over the batch. The

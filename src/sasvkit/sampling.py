@@ -317,11 +317,14 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     The norm is ``sqrt(row @ row)``: a (1, d) @ (d, 1) matmul runs the BLAS
     dot that ``np.linalg.norm`` runs on one vector, so every row gets the bits
     of ``row / np.linalg.norm(row)``. A norm along an axis sums in another
-    order and differs in the last bit.
+    order and differs in the last bit. A row whose squares overflow has an
+    inf norm, and dividing by it would leave a zero row: that is refused too.
     """
     norms = np.sqrt(np.matmul(x[..., None, :], x[..., :, None]))[..., 0]
     if not norms.all():
         raise ValueError("cannot normalize a zero vector")
+    if not np.isfinite(norms).all():
+        raise ValueError("cannot normalize a vector whose norm overflows")
     x /= norms
     return x
 

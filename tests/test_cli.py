@@ -461,6 +461,14 @@ class TestConfigPlumbing:
             "ERROR sasvkit: vector for 'S0000_B000' contains non-finite values"]
         assert not list((tmp_path / "x").iterdir())
 
+    def test_asv_noise_whose_norms_overflow_is_one_line(self, tmp_path, run_cli):
+        result = run_cli("synth", "--out", tmp_path / "x",
+                         "--set", "asv_noise=1e300", "--set", "n_speakers=3")
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            "ERROR sasvkit: cannot normalize a vector whose norm overflows"]
+        assert not list((tmp_path / "x").iterdir())
+
     def test_bad_log_level_is_a_usage_error(self, monkeypatch, tmp_path):
         monkeypatch.setenv("SASV_LOG", "chatty")
         assert main(["synth", "--out", str(tmp_path / "x")]) == 2

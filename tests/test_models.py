@@ -707,6 +707,7 @@ def narrow_baseline2() -> Baseline2Model:
 
 BLOCKED_SYSTEMS = {
     "msfm": lambda: make_msfm(6, 5, rng=np.random.default_rng(3)),
+    "msfm-no-sssv": lambda: make_msfm(6, 5, use_sssv_score=False, rng=np.random.default_rng(3)),
     "iep": lambda: make_iep(6, 5, rng=np.random.default_rng(3)),
     "baseline2": narrow_baseline2,
 }
@@ -738,10 +739,11 @@ class TestRowBlocks:
 
 class TestBlockedScoring:
     @pytest.mark.parametrize("name", BLOCKED_SYSTEMS)
-    @pytest.mark.parametrize("n", [2 * BLOCK + 1, 3 * BLOCK - 1])
+    @pytest.mark.parametrize("n", [BLOCK + BLOCK // 2, 4 * BLOCK + 1, 6 * BLOCK - 1])
     def test_blocked_scores_are_bit_identical_to_one_block(self, name, n, monkeypatch):
         # every trial has its own test utterance, so the table networks run
-        # in blocks too
+        # in blocks too; the lists end in the shortest block kept, a merged
+        # one-row tail and a block one row short of full
         trials, asv, cm = block_trials(n, 97, n)
         system = BLOCKED_SYSTEMS[name]()
         blocked = score_trials(system, trials, asv, cm).scores
@@ -749,7 +751,7 @@ class TestBlockedScoring:
         whole = score_trials(system, trials, asv, cm).scores
         assert np.array_equal(blocked, whole)
 
-    @pytest.mark.parametrize("name", ["msfm", "baseline2"])
+    @pytest.mark.parametrize("name", ["msfm", "iep", "baseline2"])
     def test_scoring_memory_does_not_grow_with_the_trial_list(self, name):
         # the same tables under 2 and under 8 blocks of trials: only O(n)
         # score and index arrays may add to the peak, not per-trial rows of a
@@ -765,6 +767,21 @@ class TestBlockedScoring:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 6 * BLOCK * 64
+
+    def test_a_scoring_block_holds_no_tape(self):
+        # baseline2 at its real width scores one block of trials while holding
+        # the block's input and at most two activations; a tape would hold
+        # three activations besides the one being computed
+        system = make_baseline2(6, 5, rng=np.random.default_rng(3))
+        trials, asv, cm = block_trials(BLOCK, 64, BLOCK)
+        tracemalloc.start()
+        try:
+            score_trials(system, trials, asv, cm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        activation = BLOCK * 1024 * 8
+        assert peak < BLOCK * 17 * 8 + 3 * activation
 
 
 def two_layer_baseline2(first_bias: float, second_weight: float) -> Baseline2Model:

@@ -35,14 +35,14 @@ def elu(values) -> np.ndarray:
     """ELU of each value, run as a batch through a unit linear layer plus ELU."""
     spec = MlpSpec((FullyConnected(1, 1), Elu()))
     params = MlpParams(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
-    out, _ = mlp_forward(spec, params, np.asarray(values, dtype=np.float64)[:, None])
+    out = mlp_forward(spec, params, np.asarray(values, dtype=np.float64)[:, None])
     return out[:, 0]
 
 
 def dense(weight, bias, x) -> np.ndarray:
     """One fully-connected layer through mlp_forward."""
     spec = MlpSpec((FullyConnected(weight.shape[1], weight.shape[0]),))
-    out, _ = mlp_forward(spec, MlpParams(weights=[weight], biases=[bias]), x)
+    out = mlp_forward(spec, MlpParams(weights=[weight], biases=[bias]), x)
     return out
 
 
@@ -62,7 +62,8 @@ class TestElu:
     def test_elu_after_elu_keeps_the_first_output_on_the_tape(self):
         spec = MlpSpec((FullyConnected(1, 1), Elu(), Elu()))
         params = MlpParams(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
-        out, tape = mlp_forward(spec, params, np.array([[-1.0]]))
+        tape = []
+        out = mlp_forward(spec, params, np.array([[-1.0]]), tape)
         assert tape[1][1][0, 0] == math.expm1(-1.0)
         assert out[0, 0] == math.expm1(math.expm1(-1.0))
 
@@ -155,7 +156,7 @@ class TestMlpForward:
         params = MlpParams(
             weights=[np.array([[1.0, 0.0], [1.0, 1.0]])], biases=[np.array([0.0, -1.0])]
         )
-        out, _ = mlp_forward(spec, params, np.array([[2.0, 3.0]]))
+        out = mlp_forward(spec, params, np.array([[2.0, 3.0]]))
         np.testing.assert_array_equal(out, [[2.0, 4.0]])
 
     def test_elu_applied_between_layers(self):
@@ -164,7 +165,7 @@ class TestMlpForward:
             weights=[np.array([[1.0]]), np.array([[2.0]])],
             biases=[np.array([0.0]), np.array([0.0])],
         )
-        out, _ = mlp_forward(spec, params, np.array([[-1.0]]))
+        out = mlp_forward(spec, params, np.array([[-1.0]]))
         np.testing.assert_allclose(out, [[2.0 * math.expm1(-1.0)]])
 
     def test_batch_matches_loop(self):
@@ -174,9 +175,9 @@ class TestMlpForward:
         )
         params = MlpParams.init(spec, rng)
         xs = rng.standard_normal((6, 5))
-        batch_out, _ = mlp_forward(spec, params, xs)
+        batch_out = mlp_forward(spec, params, xs)
         for i in range(6):
-            single_out, _ = mlp_forward(spec, params, xs[i : i + 1])
+            single_out = mlp_forward(spec, params, xs[i : i + 1])
             # BLAS may take another kernel for one row, differing in the last ulp
             np.testing.assert_allclose(batch_out[i], single_out[0], atol=1e-12)
 
@@ -188,8 +189,10 @@ class TestMlpForward:
         narrow.cast(np.float32)
         x = rng.standard_normal((6, 5))
         dout = rng.standard_normal((6, 3))
-        out64, tape64 = mlp_forward(spec, wide, x)
-        out32, tape32 = mlp_forward(spec, narrow, x)
+        tape64 = []
+        out64 = mlp_forward(spec, wide, x, tape64)
+        tape32 = []
+        out32 = mlp_forward(spec, narrow, x, tape32)
         grads32, dx32 = mlp_backward(spec, narrow, tape32, dout)
         grads64, dx64 = mlp_backward(spec, wide, tape64, dout)
         assert wide.weights[0].dtype == np.float64
@@ -197,6 +200,22 @@ class TestMlpForward:
             assert arr.dtype == np.float32
         for a, b in zip([out32, dx32] + grads32.tensors(), [out64, dx64] + grads64.tensors()):
             np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_tapeless_output_is_the_taped_output(self, dtype):
+        rng = np.random.default_rng(19)
+        spec = MlpSpec((FullyConnected(5, 7), Elu(), Elu(), FullyConnected(7, 4), Elu(),
+                        FullyConnected(4, 2)))
+        params = MlpParams.init(spec, rng)
+        params.cast(dtype)
+        x = rng.standard_normal((9, 5)).astype(dtype)
+        before = x.copy()
+        tape = []
+        taped = mlp_forward(spec, params, x, tape)
+        bare = mlp_forward(spec, params, x)
+        assert [kind for kind, _ in tape] == ["fc", "elu", "elu", "fc", "elu", "fc"]
+        assert bare.dtype == dtype and np.array_equal(bare, taped)
+        assert np.array_equal(x, before)
 
     def test_wrong_input_dim_names_layer(self):
         spec = MlpSpec((FullyConnected(4, 2),))
@@ -286,7 +305,8 @@ class TestBackward:
         spec = MlpSpec((FullyConnected(3, 2),))
         params = MlpParams.zeros(spec)
         x = np.array([[1.0, 2.0, 3.0]])
-        _, tape = mlp_forward(spec, params, x)
+        tape = []
+        mlp_forward(spec, params, x, tape)
         grads, dx = mlp_backward(spec, params, tape, np.array([[1.0, 0.0]]))
         np.testing.assert_array_equal(grads.weights[0], [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
         np.testing.assert_array_equal(grads.biases[0], [1.0, 0.0])
@@ -302,10 +322,11 @@ class TestBackward:
         target = np.array([0.0, 1.0, 0.0])
 
         def loss_fn():
-            out, _ = mlp_forward(spec, params, x)
+            out = mlp_forward(spec, params, x)
             return cce_loss(out[0], target)
 
-        out, tape = mlp_forward(spec, params, x)
+        tape = []
+        out = mlp_forward(spec, params, x, tape)
         dlogits = softmax(out) - target
         analytic, _ = mlp_backward(spec, params, tape, dlogits)
         numeric = _numeric_gradient(loss_fn, params.tensors())
@@ -318,11 +339,13 @@ class TestBackward:
         params = MlpParams.init(spec, rng)
         xs = rng.standard_normal((5, 3))
         douts = rng.standard_normal((5, 2))
-        _, tape = mlp_forward(spec, params, xs)
+        tape = []
+        mlp_forward(spec, params, xs, tape)
         batch_grads, _ = mlp_backward(spec, params, tape, douts)
         summed = [np.zeros_like(t) for t in params.tensors()]
         for i in range(5):
-            _, tape_i = mlp_forward(spec, params, xs[i : i + 1])
+            tape_i = []
+            mlp_forward(spec, params, xs[i : i + 1], tape_i)
             g, _ = mlp_backward(spec, params, tape_i, douts[i : i + 1])
             for acc, t in zip(summed, g.tensors()):
                 acc += t
@@ -336,10 +359,11 @@ class TestBackward:
         x = rng.standard_normal((1, 3))
 
         def loss_fn():
-            out, _ = mlp_forward(spec, params, x)
+            out = mlp_forward(spec, params, x)
             return float(out[0, 0])
 
-        _, tape = mlp_forward(spec, params, x)
+        tape = []
+        mlp_forward(spec, params, x, tape)
         _, dx = mlp_backward(spec, params, tape, np.array([[1.0]]))
         numeric = _numeric_gradient(loss_fn, [x])[0]
         np.testing.assert_allclose(dx, numeric, atol=1e-8)
@@ -508,10 +532,11 @@ class TestGradCheck:
         target = np.array([0.5, -0.5, 2.0])
 
         def loss_fn():
-            out, _ = mlp_forward(spec, params, x)
+            out = mlp_forward(spec, params, x)
             return float(((out - target) ** 2).sum())
 
-        out, tape = mlp_forward(spec, params, x)
+        tape = []
+        out = mlp_forward(spec, params, x, tape)
         analytic, _ = mlp_backward(spec, params, tape, 2.0 * (out - target))
         err = grad_check(params.tensors(), loss_fn, analytic.tensors())
         assert err < 1e-8
@@ -526,10 +551,11 @@ class TestGradCheck:
         target = np.array([0.0, 0.0, 1.0, 0.0])
 
         def loss_fn():
-            out, _ = mlp_forward(spec, params, x)
+            out = mlp_forward(spec, params, x)
             return cce_loss(out[0], target)
 
-        out, tape = mlp_forward(spec, params, x)
+        tape = []
+        out = mlp_forward(spec, params, x, tape)
         analytic, _ = mlp_backward(spec, params, tape, softmax(out) - target)
         err = grad_check(params.tensors(), loss_fn, analytic.tensors(), epsilon=1e-5)
         assert err < 1e-4
@@ -542,10 +568,11 @@ class TestGradCheck:
         target = np.array([1.0, 0.0])
 
         def loss_fn():
-            out, _ = mlp_forward(spec, params, x)
+            out = mlp_forward(spec, params, x)
             return cce_loss(out[0], target)
 
-        out, tape = mlp_forward(spec, params, x)
+        tape = []
+        out = mlp_forward(spec, params, x, tape)
         analytic, _ = mlp_backward(spec, params, tape, softmax(out) - target)
         tensors = analytic.tensors()
         tensors[0] = tensors[0] * 1.5  # wrong by half its own size
@@ -560,10 +587,11 @@ class TestGradCheck:
         target = np.array([0.0, 1.0])
 
         def loss_fn():
-            out, _ = mlp_forward(spec, params, x)
+            out = mlp_forward(spec, params, x)
             return cce_loss(out[0], target)
 
-        out, tape = mlp_forward(spec, params, x)
+        tape = []
+        out = mlp_forward(spec, params, x, tape)
         analytic, _ = mlp_backward(spec, params, tape, softmax(out) - target)
         err = grad_check(
             params.tensors(),

@@ -27,13 +27,20 @@ def test_every_boundary_is_found_and_the_network_spans_count_rows(monkeypatch):
     tracer.install()
     try:
         model, _ = models.train_msfm(data.train_records, data.asv_store, data.cm_store, config)
+        training_spans = len(tracer.spans)
         scored = cli.score_trials(model, data.eval_trials, data.asv_store, data.cm_store)
     finally:
         tracer.uninstall()
     assert tracer.missing == []
     assert len([s.score for s in scored]) == len(data.eval_trials)
     rows = {"neuralcore.forward": 0, "neuralcore.backward": 0}
-    for name, *_, work, _, _ in tracer.spans:
+    for name, *_, work, _, _ in tracer.spans[:training_spans]:
         if name in rows:
             rows[name] += work["rows"]
     assert rows["neuralcore.forward"] > 0 and rows["neuralcore.backward"] > 0, rows
+    # scoring runs each network once over the tables or trials, all in one block
+    trials = data.eval_trials
+    scoring = [work["rows"] for name, *_, work, _, _ in tracer.spans[training_spans:]
+               if name == "neuralcore.forward"]
+    assert sorted(scoring) == sorted([len(trials.enrollments), len(trials.test_ids),
+                                      len(trials), len(trials)])
