@@ -526,6 +526,9 @@ def main(argv=None) -> int:
     except KeyError as exc:
         _LOG.error("%s", exc.args[0] if exc.args else exc)
         return 1
+    except MemoryError as exc:
+        _LOG.error("out of memory: %s", str(exc) or "an allocation failed")
+        return 1
     return 0
 
 

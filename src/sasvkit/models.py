@@ -41,6 +41,7 @@ from .neuralcore import (
     NonFiniteError,
     OptimizerState,
     TrainConfig,
+    cce_rows,
     mlp_backward,
     mlp_forward,
     optimizer_step,
@@ -74,6 +75,14 @@ class Mlp:
         return mlp_backward(self.spec, self.params, tape, grad_out)
 
 
+def _check_two_outputs(model, *blocks: str) -> None:
+    """Refuse a softmax head that does not end in two outputs: output 1 is the score."""
+    for name in blocks:
+        outputs = getattr(model, name).spec.output_dim
+        if outputs != 2:
+            raise ValueError(f"block {name} ends in {outputs} output(s); its softmax needs 2")
+
+
 def _forward(model, block: str, x, tape: list | None = None) -> np.ndarray:
     """Output of one block; an overflowing layer is an error naming the block.
 
@@ -90,74 +99,12 @@ def _forward(model, block: str, x, tape: list | None = None) -> np.ndarray:
     return out.astype(np.float64, copy=False)
 
 
-def _encoder_spec(in_dim: int) -> MlpSpec:
-    return MlpSpec(
-        (
-            FullyConnected(in_dim, 128),
-            Elu(),
-            FullyConnected(128, 128),
-            Elu(),
-            FullyConnected(128, 64),
-            Elu(),
-            FullyConnected(64, ENCODER_OUT_DIM),
-        )
-    )
-
-
-def _verification_head_spec() -> MlpSpec:
-    return MlpSpec(
-        (
-            FullyConnected(2 * ENCODER_OUT_DIM, 128),
-            Elu(),
-            FullyConnected(128, 64),
-            Elu(),
-            FullyConnected(64, 2),
-        )
-    )
-
-
-def _fusion_head_spec(n_scores: int) -> MlpSpec:
-    return MlpSpec(
-        (
-            FullyConnected(n_scores, 16),
-            Elu(),
-            FullyConnected(16, 16),
-            Elu(),
-            FullyConnected(16, 2),
-        )
-    )
-
-
-def _trunk_spec(in_dim: int) -> MlpSpec:
-    # ends with an activation: the projector head sees nonlinear features
-    return MlpSpec(
-        (
-            FullyConnected(in_dim, 256),
-            Elu(),
-            FullyConnected(256, 256),
-            Elu(),
-            FullyConnected(256, PROJECTION_DIM),
-            Elu(),
-        )
-    )
-
-
-def _projector_head_spec(in_dim: int) -> MlpSpec:
-    return MlpSpec((FullyConnected(in_dim, PROJECTION_DIM),))
-
-
-def _baseline2_spec(in_dim: int) -> MlpSpec:
-    return MlpSpec(
-        (
-            FullyConnected(in_dim, 1024),
-            Elu(),
-            FullyConnected(1024, 1024),
-            Elu(),
-            FullyConnected(1024, 1024),
-            Elu(),
-            FullyConnected(1024, 2),
-        )
-    )
+def _dense(*dims: int) -> tuple:
+    """The layers ``fc dims[0] dims[1], elu, fc dims[1] dims[2], ...``, ending in an fc."""
+    layers = [FullyConnected(dims[0], dims[1])]
+    for in_dim, out_dim in zip(dims[1:], dims[2:]):
+        layers += [Elu(), FullyConnected(in_dim, out_dim)]
+    return tuple(layers)
 
 
 # Rows per block wherever scoring runs over rows: the cosine gathers, and
@@ -216,8 +163,8 @@ def _pair_cosine(a: np.ndarray, b: np.ndarray, e: np.ndarray, k: np.ndarray) -> 
 
 
 def _row_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    rows = np.arange(len(a))
-    return _pair_cosine(a, b, rows, rows)
+    """Cosine of row i of ``a`` with row i of ``b`` for each i."""
+    return _pair_cosines(a, b)(slice(None), slice(None))
 
 
 def _unit_rows(*blocks: np.ndarray) -> np.ndarray:
@@ -238,12 +185,6 @@ def _unit_rows(*blocks: np.ndarray) -> np.ndarray:
         np.divide(a, norms, out=out[:, start : start + a.shape[1]])
         start += a.shape[1]
     return out
-
-
-def _row_cce(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=1, keepdims=True)
-    lse = (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))).ravel()
-    return lse - (logits * targets).sum(axis=1)
 
 
 class TrialTables(NamedTuple):
@@ -275,6 +216,9 @@ class MsfmModel:
     use_sssv_score: bool
     asv_dim: int
     cm_dim: int
+
+    def __post_init__(self):
+        _check_two_outputs(self, "verification_head", "fusion_head")
 
     def tensors(self) -> list:
         return (
@@ -314,12 +258,12 @@ def make_msfm(
 ) -> MsfmModel:
     if rng is None:
         rng = np.random.default_rng(0)
-    pair_dim = asv_dim + cm_dim
+    encoder = MlpSpec(_dense(asv_dim + cm_dim, 128, 128, 64, ENCODER_OUT_DIM))
     return MsfmModel(
-        enroll_encoder=Mlp.init(_encoder_spec(pair_dim), rng),
-        test_encoder=Mlp.init(_encoder_spec(pair_dim), rng),
-        verification_head=Mlp.init(_verification_head_spec(), rng),
-        fusion_head=Mlp.init(_fusion_head_spec(3 if use_sssv_score else 2), rng),
+        enroll_encoder=Mlp.init(encoder, rng),
+        test_encoder=Mlp.init(encoder, rng),
+        verification_head=Mlp.init(MlpSpec(_dense(2 * ENCODER_OUT_DIM, 128, 64, 2)), rng),
+        fusion_head=Mlp.init(MlpSpec(_dense(3 if use_sssv_score else 2, 16, 16, 2)), rng),
         use_sssv_score=use_sssv_score,
         asv_dim=asv_dim,
         cm_dim=cm_dim,
@@ -387,15 +331,16 @@ def msfm_batch_losses(model: MsfmModel, batch: PairBatch,
         raise ValueError(f"unknown loss selector {loss!r}")
     n = batch.enroll_asv.shape[0]
     s, p_s, v, (tape_e, tape_t, tape_s, tape_v) = _msfm_pass(model, batch)
-    l_sssv = float(_row_cce(s, batch.sv_target).mean())
-    l_sf = float(_row_cce(v, batch.sasv_target).mean())
+    l_sssv = float(cce_rows(s, batch.sv_target)[0].mean())
+    losses_sf, p_v = cce_rows(v, batch.sasv_target)
+    l_sf = float(losses_sf.mean())
     l_total = l_sssv + l_sf
     if not compute_grads:
         return l_sssv, l_sf, l_total, None
 
     want_sssv = loss in ("sssv", "total")
     want_sf = loss in ("sf", "total")
-    dv = (softmax(v) - batch.sasv_target) / n if want_sf else np.zeros_like(v)
+    dv = (p_v - batch.sasv_target) / n if want_sf else np.zeros_like(v)
     fusion_grads, d_fusion_in = model.fusion_head.backward(tape_v, dv)
     ds = (p_s - batch.sv_target) / n if want_sssv else np.zeros_like(s)
     if model.use_sssv_score and want_sf:
@@ -578,8 +523,9 @@ def make_iep(
         rng = np.random.default_rng(0)
     pair_dim = asv_dim + cm_dim
     return IepModel(
-        trunk=Mlp.init(_trunk_spec(pair_dim), rng),
-        projector=Mlp.init(_projector_head_spec(PROJECTION_DIM + pair_dim), rng),
+        # the trunk ends with an activation: the projector sees nonlinear features
+        trunk=Mlp.init(MlpSpec(_dense(pair_dim, 256, 256, PROJECTION_DIM) + (Elu(),)), rng),
+        projector=Mlp.init(MlpSpec(_dense(PROJECTION_DIM + pair_dim, PROJECTION_DIM)), rng),
         margin=margin,
         asv_dim=asv_dim,
         cm_dim=cm_dim,
@@ -605,30 +551,29 @@ def iep_project(model: IepModel, asv_rows: np.ndarray, cm_rows: np.ndarray) -> n
     return _blockwise(len(asv_rows), lambda r: _iep_pass(model, asv_rows[r], cm_rows[r]))
 
 
-def triplet_loss(anchors, positives, negatives, margin: float) -> float:
-    """Mean cosine hinge over projected triplets.
+def _cosine_hinges(z: np.ndarray, margin: float) -> tuple:
+    """Hinges of the triplets whose rows ``z`` stacks as ``[anchors; positives; negatives]``.
 
-    Each triplet contributes ``max(0, cos(anchor, negative) -
-    cos(anchor, positive) + margin)``.
+    Triplet i contributes ``max(0, cos(anchor, negative) - cos(anchor, positive)
+    + margin)``. Returns the hinges, the norm of every row of ``z``, each taken
+    once, and the cosines: row 0 anchor-positive, row 1 anchor-negative.
     """
+    c = len(z) // 3
+    norms = np.linalg.norm(z, axis=1)
+    if np.any(norms == 0.0):
+        raise ValueError("cosine similarity of a zero vector is undefined")
+    cos = (z[:c] * z[c:].reshape(2, c, -1)).sum(axis=2) / (norms[:c] * norms[c:].reshape(2, c))
+    return np.maximum(0.0, cos[1] - cos[0] + margin), norms, cos
+
+
+def triplet_loss(anchors, positives, negatives, margin: float) -> float:
+    """Mean cosine hinge over projected triplets (see ``_cosine_hinges``)."""
     a = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
     p = np.atleast_2d(np.asarray(positives, dtype=np.float64))
     n = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
     if not (a.shape == p.shape == n.shape):
         raise ValueError("anchors, positives, and negatives must have equal shapes")
-    cos_ap = _row_cosine(a, p)
-    cos_an = _row_cosine(a, n)
-    return float(np.maximum(0.0, cos_an - cos_ap + margin).mean())
-
-
-def _cosine_pair_grads(a, b, dcos):
-    """Gradients of row-wise cosine(a, b) scaled by dcos."""
-    na = np.linalg.norm(a, axis=1, keepdims=True)
-    nb = np.linalg.norm(b, axis=1, keepdims=True)
-    cos = ((a * b).sum(axis=1, keepdims=True)) / (na * nb)
-    da = dcos[:, None] * (b / (na * nb) - cos * a / (na * na))
-    db = dcos[:, None] * (a / (na * nb) - cos * b / (nb * nb))
-    return da, db
+    return float(_cosine_hinges(np.vstack([a, p, n]), margin)[0].mean())
 
 
 def iep_batch_loss(model: IepModel, anchor_asv, anchor_cm, positive_asv, positive_cm,
@@ -641,20 +586,19 @@ def iep_batch_loss(model: IepModel, anchor_asv, anchor_cm, positive_asv, positiv
         model, np.vstack([anchor_asv, positive_asv, negative_asv]),
         np.vstack([anchor_cm, positive_cm, negative_cm]), (tape_h, tape_z),
     )
-    norms = np.linalg.norm(z, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("a projected embedding collapsed to the zero vector")
-    za, zp, zn = z[:c], z[c : 2 * c], z[2 * c :]
-    cos_ap = _row_cosine(za, zp)
-    cos_an = _row_cosine(za, zn)
-    hinge = np.maximum(0.0, cos_an - cos_ap + margin)
+    hinge, norms, cos = _cosine_hinges(z, margin)
     loss = float(hinge.mean())
     if not compute_grads:
         return loss, None
     active = (hinge > 0.0).astype(np.float64) / c
-    da_n, dn = _cosine_pair_grads(za, zn, active)
-    da_p, dp = _cosine_pair_grads(za, zp, -active)
-    dz = np.vstack([da_n + da_p, dp, dn])
+    # cos(a, b) has gradient b / (|a||b|) - cos a / |a|^2 in a; axis 0 of
+    # b runs over the positives, then the negatives
+    a, na = z[:c], norms[:c, None]
+    b, nb = z[c:].reshape(2, c, -1), norms[c:].reshape(2, c, 1)
+    dcos, cos = np.stack([-active, active])[:, :, None], cos[:, :, None]
+    da = dcos * (b / (na * nb) - cos * a / (na * na))
+    db = dcos * (a / (na * nb) - cos * b / (nb * nb))
+    dz = np.vstack([da[1] + da[0], db.reshape(2 * c, -1)])
     proj_grads, d_proj_in = model.projector.backward(tape_z, dz)
     trunk_grads, _ = model.trunk.backward(tape_h, d_proj_in[:, :PROJECTION_DIM])
     return loss, trunk_grads.tensors() + proj_grads.tensors()
@@ -686,6 +630,9 @@ class Baseline2Model:
     asv_dim: int
     cm_dim: int
 
+    def __post_init__(self):
+        _check_two_outputs(self, "mlp")
+
     def tensors(self) -> list:
         return self.mlp.params.tensors()
 
@@ -715,7 +662,7 @@ def make_baseline2(
     if rng is None:
         rng = np.random.default_rng(0)
     return Baseline2Model(
-        mlp=Mlp.init(_baseline2_spec(2 * asv_dim + cm_dim), rng),
+        mlp=Mlp.init(MlpSpec(_dense(2 * asv_dim + cm_dim, 1024, 1024, 1024, 2)), rng),
         asv_dim=asv_dim,
         cm_dim=cm_dim,
     )
@@ -726,10 +673,11 @@ def baseline2_batch_loss(model: Baseline2Model, batch: PairBatch,
     n = batch.enroll_asv.shape[0]
     tape = []
     v = _forward(model, "mlp", _baseline2_input(batch), tape)
-    loss = float(_row_cce(v, batch.sasv_target).mean())
+    losses, p_v = cce_rows(v, batch.sasv_target)
+    loss = float(losses.mean())
     if not compute_grads:
         return loss, None
-    grads, _ = model.mlp.backward(tape, (softmax(v) - batch.sasv_target) / n)
+    grads, _ = model.mlp.backward(tape, (p_v - batch.sasv_target) / n)
     return loss, grads.tensors()
 
 

@@ -12,8 +12,9 @@ pass then checks the output of each fully-connected layer, which also
 catches a non-finite parameter.
 
 The module also carries the training utilities shared by the back-ends:
-softmax / categorical cross-entropy, SGD and Adam steps, and a central
-finite-difference gradient checker.
+softmax, the batch cross-entropy :func:`cce_rows` that every softmax head
+trains through (:func:`cce_loss` is its one-row case), SGD and Adam steps,
+and a central finite-difference gradient checker.
 
 A forward pass records a tape, the activations its backward pass reads, only
 when its caller passes a list for it: training does, once per network and
@@ -39,6 +40,7 @@ __all__ = [
     "mlp_forward",
     "mlp_backward",
     "softmax",
+    "cce_rows",
     "cce_loss",
     "optimizer_step",
     "grad_check",
@@ -283,6 +285,20 @@ def _check_one_hot(target: np.ndarray) -> None:
         raise ValueError("target must be a one-hot vector")
 
 
+def cce_rows(logits: np.ndarray, targets: np.ndarray) -> tuple:
+    """Each row's categorical cross-entropy against its one-hot target, and the softmax.
+
+    ``logits`` and ``targets`` have shape ``(n, k)``. Both results come from one
+    ``exp(logits - max)`` per row, so the softmax is that of :func:`softmax`
+    bit for bit and ``softmax - targets`` is the loss's gradient in the logits.
+    """
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    total = e.sum(axis=1, keepdims=True)
+    losses = (m + np.log(total)).ravel() - (logits * targets).sum(axis=1)
+    return losses, e / total
+
+
 def cce_loss(logits, target) -> float:
     """Categorical cross-entropy of a one-hot target against raw logits."""
     l = _as_f64(logits, "logits")
@@ -292,9 +308,7 @@ def cce_loss(logits, target) -> float:
     if l.size == 0:
         raise ValueError("cce_loss of empty logits is undefined")
     _check_one_hot(t)
-    m = l.max()
-    lse = m + math.log(np.exp(l - m).sum())
-    return float(lse - l[int(np.argmax(t))])
+    return float(cce_rows(l[None, :], t[None, :])[0][0])
 
 
 @dataclass

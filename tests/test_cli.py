@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sasvkit import cli
 from sasvkit.cli import main, parse_kv_text, parse_score_file, UsageError
 from sasvkit.data import (
     TRIAL_LABELS,
@@ -452,6 +453,41 @@ class TestConfigPlumbing:
         assert result.returncode == 2
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and "n_speakers" in lines[0], result.stderr
+
+    @pytest.mark.parametrize("command, setting", [
+        ("train", "samples_per_epoch=1000000000000"),  # 1e12 pairs: 21.8 TiB
+        ("evaluate", "bins=1000000000"),  # histogram edges: 7.45 GiB
+    ])
+    def test_allocation_beyond_memory_is_one_line(self, corpus, tmp_path, run_cli, monkeypatch,
+                                                  command, setting):
+        # under the address-space cap the allocation fails with MemoryError
+        # whatever the machine's overcommit policy, and never touches memory
+        monkeypatch.setenv("SASV_LOG", "error")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        cap = 4 << 30
+        if command == "train":
+            argv = ["train", "--model", "msfm", "--asv-store", corpus / "asv.emb",
+                    "--cm-store", corpus / "cm.emb", "--protocol", corpus / "protocol.txt",
+                    "--out", tmp_path / "x"]
+        else:
+            argv = evaluate_args(corpus, tmp_path / "x")
+        result = run_cli(
+            *argv, "--set", setting,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            timeout=120,
+        )
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR sasvkit: out of memory: "), \
+            result.stderr
+
+    def test_memory_error_without_a_message_is_one_line(self, monkeypatch, capfd):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_report", exhausted)
+        assert main(["report"]) == 1
+        assert error_line(capfd) == "ERROR sasvkit: out of memory: an allocation failed"
 
     @pytest.mark.parametrize("setting", ["cm_separation=1e300", "cm_speaker_scale=1e300"])
     def test_cm_values_beyond_single_precision_are_one_line(self, tmp_path, run_cli, setting):

@@ -51,6 +51,7 @@ from sasvkit.neuralcore import (
     MlpParams,
     MlpSpec,
     TrainConfig,
+    cce_loss,
     grad_check,
     optimizer_step,
 )
@@ -198,6 +199,29 @@ class TestZeroWeightInvariants:
         scores = model.score_batch(one_to_one(np.ones((1, 6)), None, np.ones((1, 6)), np.ones((1, 5))))
         assert scores[0] == pytest.approx(0.5, abs=1e-12)
 
+    @staticmethod
+    def mean_cce_loss(logits, targets) -> float:
+        return float(np.mean([cce_loss(row, target) for row, target in zip(logits, targets)]))
+
+    @pytest.mark.parametrize("use_sssv", [True, False])
+    def test_msfm_losses_are_gate_4_cce_loss(self, use_sssv):
+        # random weights, not zeros: each training loss is cce_loss of each row
+        rng = np.random.default_rng(12)
+        model = make_msfm(6, 5, use_sssv_score=use_sssv, rng=rng)
+        batch = random_pair_batch(rng, 7, 6, 5)
+        l_sssv, l_sf, _, _ = msfm_batch_losses(model, batch, compute_grads=False)
+        s, _, v, _ = _msfm_pass(model, batch)
+        assert abs(l_sssv - self.mean_cce_loss(s, batch.sv_target)) <= 1e-12
+        assert abs(l_sf - self.mean_cce_loss(v, batch.sasv_target)) <= 1e-12
+
+    def test_baseline2_loss_is_gate_4_cce_loss(self):
+        rng = np.random.default_rng(13)
+        model = narrow_baseline2()
+        batch = random_pair_batch(rng, 7, 6, 5)
+        loss, _ = baseline2_batch_loss(model, batch, compute_grads=False)
+        v = models._forward(model, "mlp", models._baseline2_input(batch))
+        assert abs(loss - self.mean_cce_loss(v, batch.sasv_target)) <= 1e-12
+
 
 class TestMsfmForward:
     def test_score_batch_matches_single_forward(self):
@@ -240,6 +264,16 @@ class TestTripletLoss:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             triplet_loss([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0]], margin=0.5)
+
+    @pytest.mark.parametrize("margin", [0.05, 0.5])
+    def test_iep_training_loss_is_gate_4_triplet_loss(self, margin):
+        # the loss iep trains on is triplet_loss of the projected rows
+        rng = np.random.default_rng(14)
+        model = make_iep(6, 5, rng=rng)
+        rows = [rng.normal(size=(9, dim)) for _ in range(3) for dim in (6, 5)]
+        loss, _ = iep_batch_loss(model, *rows, margin=margin, compute_grads=False)
+        projected = [iep_project(model, rows[i], rows[i + 1]) for i in (0, 2, 4)]
+        assert abs(loss - triplet_loss(*projected, margin=margin)) <= 1e-12
 
 
 class TestIepProject:
@@ -849,6 +883,19 @@ def without(header: dict, key: str) -> dict:
     return {k: v for k, v in header.items() if k != key}
 
 
+def with_outputs(header: dict, block: str, outputs: int) -> bytes:
+    """A checkpoint of ``header`` whose ``block`` ends in ``outputs``, all parameters zero."""
+    *layers, (_, in_dim, _) = header["blocks"][block]
+    blocks = dict(header["blocks"], **{block: layers + [["fc", in_dim, outputs]]})
+    header = dict(header, blocks=blocks)
+    fc = [layer for spec in header["blocks"].values() for layer in spec if layer[0] == "fc"]
+    return checkpoint_bytes(header, bytes(8 * sum((i + 1) * o for _, i, o in fc)))
+
+
+BASELINE2_HEADER = {"kind": "baseline2", "asv_dim": 6, "cm_dim": 5,
+                    "blocks": {"mlp": [["fc", 17, 4], ["elu"], ["fc", 4, 2]]}}
+
+
 def with_first_layer(header: dict, layer) -> dict:
     encoder = [layer] + header["blocks"]["enroll_encoder"][1:]
     return dict(header, blocks=dict(header["blocks"], enroll_encoder=encoder))
@@ -871,6 +918,17 @@ MALFORMED_CHECKPOINTS = [
      "checkpoint block enroll_encoder holds non-finite parameters"),
     ("inf-in-last-block", lambda h, p: checkpoint_bytes(h, p[:-8] + INF),
      "checkpoint block fusion_head holds non-finite parameters"),
+    # the score is output 1 of a softmax head
+    ("fusion-head-one-output", lambda h, p: with_outputs(h, "fusion_head", 1),
+     "block fusion_head ends in 1 output"),
+    ("verification-head-one-output", lambda h, p: with_outputs(h, "verification_head", 1),
+     "block verification_head ends in 1 output"),
+    ("verification-head-four-outputs", lambda h, p: with_outputs(h, "verification_head", 4),
+     "block verification_head ends in 4 output"),
+    ("baseline2-one-output", lambda h, p: with_outputs(BASELINE2_HEADER, "mlp", 1),
+     "block mlp ends in 1 output"),
+    ("baseline2-four-outputs", lambda h, p: with_outputs(BASELINE2_HEADER, "mlp", 4),
+     "block mlp ends in 4 output"),
 ]
 
 
@@ -941,6 +999,14 @@ class TestCheckpoints:
         path = tmp_path / name
         save_model(model, path)
         return load_model(path), path
+
+    def test_softmax_head_of_any_hidden_width_loads(self, tmp_path):
+        # only the two outputs are fixed: baseline2 with a 4-wide hidden layer
+        path = tmp_path / "narrow.ckpt"
+        path.write_bytes(with_outputs(BASELINE2_HEADER, "mlp", 2))
+        model = load_model(path)
+        assert isinstance(model, Baseline2Model)
+        assert [l.out_dim for l in model.mlp.spec.fc_layers] == [4, 2]
 
     def test_msfm_roundtrip_is_bit_exact(self, tmp_path):
         model = make_msfm(7, 5, use_sssv_score=False, rng=np.random.default_rng(1))
