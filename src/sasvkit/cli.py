@@ -26,8 +26,12 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .data import (
     TrialList,
+    _distinct,
+    _text_columns,
     load_embedding_store,
     parse_cm_protocol,
     parse_enrollment_map,
@@ -383,37 +387,59 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
     _log_eers("evaluate", report)
 
 
-def parse_score_file(text: str, source: str = "scores") -> dict:
-    """Map ``(enroll_speaker, test_utterance) -> score`` from a score file.
-
-    Repeated identical lines are tolerated; two different scores for the same
-    trial key are contradictory and rejected.
-    """
+def _keyed_scores(text: str, trials: TrialList, source: str) -> np.ndarray:
+    """parse_score_file's line-by-line path: each trial's score looked up in a map
+    ``(speaker, test) -> score`` of every line; identical repeated lines are tolerated."""
     scores: dict[tuple, float] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         fields = line.split()
+        if not fields:
+            continue
         if len(fields) != 3:
-            raise ValueError(
-                f"{source} line {lineno}: expected 'speaker utterance score', "
-                f"got {len(fields)} fields"
-            )
+            raise ValueError(f"{source} line {lineno}: expected 'speaker utterance score', "
+                             f"got {len(fields)} fields")
         speaker, utterance, raw = fields
         try:
             value = float(raw)
         except ValueError:
-            raise ValueError(
-                f"{source} line {lineno}: malformed score {raw!r}"
-            ) from None
+            raise ValueError(f"{source} line {lineno}: malformed score {raw!r}") from None
         key = (speaker, utterance)
         if key in scores and scores[key] != value:
-            raise ValueError(
-                f"{source} line {lineno}: conflicting score for trial "
-                f"{speaker} {utterance}"
-            )
+            raise ValueError(f"{source} line {lineno}: conflicting score for trial "
+                             f"{speaker} {utterance}")
         scores[key] = value
-    return scores
+    keys = list(zip(trials.enroll_speakers(), trials.test_utterances()))
+    values = list(map(scores.get, keys))
+    if None in values:
+        missing = [f"{s} {u}" for (s, u), value in zip(keys, values) if value is None]
+        shown = ", ".join(missing[:20]) + (", ..." if len(missing) > 20 else "")
+        raise ValueError(f"score file covers {len(trials) - len(missing)} of {len(trials)} "
+                         f"trials; missing: {shown}")
+    return np.array(values, dtype=np.float64)
+
+
+def _repeats_a_key(trials: TrialList) -> bool:
+    """Whether two trials pair the same enrolled speaker with the same test utterance."""
+    _, speaker = _distinct([speaker for speaker, _ in trials.enrollments])
+    keys = np.sort(speaker[trials.enroll_index] * len(trials.test_ids) + trials.test_index)
+    return bool((keys[1:] == keys[:-1]).any())
+
+
+def parse_score_file(text: str, trials: TrialList, source: str = "scores") -> np.ndarray:
+    """The float64 score of each trial of ``trials``, in trial-list order.
+
+    A file whose key columns are the trial list's (as ``evaluate`` writes it),
+    over a trial list with no repeated key, is joined by position; any other
+    file, or one whose scores fail to convert, takes the keyed path.
+    """
+    columns = _text_columns(text, 3)
+    if (columns is not None and columns[0] == trials.enroll_speakers()
+            and columns[1] == trials.test_utterances() and not _repeats_a_key(trials)):
+        try:
+            return np.fromiter(map(float, columns[2]), np.float64, len(columns[2]))
+        except ValueError:
+            pass
+    return _keyed_scores(text, trials, source)
 
 
 def cmd_report(args: argparse.Namespace) -> None:
@@ -424,19 +450,8 @@ def cmd_report(args: argparse.Namespace) -> None:
     out = _out_dir(settings, "report")
     scores_path = _existing_path(settings, "scores", "report")
     trials = _load_trials(settings, "report")
-    scores = parse_score_file(read_text(scores_path), source=str(scores_path))
-    keys = list(zip(trials.enroll_speakers(), trials.test_utterances()))
-    values = list(map(scores.get, keys))
-    if None in values:
-        missing = [key for key, value in zip(keys, values) if value is None]
-        shown = ", ".join(f"{speaker} {utterance}" for speaker, utterance in missing[:20])
-        if len(missing) > 20:
-            shown += ", ..."
-        raise ValueError(
-            f"score file covers {len(trials) - len(missing)} of {len(trials)} "
-            f"trials; missing: {shown}"
-        )
-    report = evaluate_system(ScoredTrials(trials, values), bins=bins)
+    scores = parse_score_file(read_text(scores_path), trials, source=str(scores_path))
+    report = evaluate_system(ScoredTrials(trials, scores), bins=bins)
     write_report(report, out)
     resolved = {
         "scores": str(settings["scores"]),

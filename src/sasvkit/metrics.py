@@ -98,6 +98,8 @@ def compute_eer(positive_scores, negative_scores) -> tuple:
     # accept iff score >= threshold
     far = (neg.size - np.searchsorted(neg_sorted, thresholds, side="left")) / neg.size
     frr = np.searchsorted(pos_sorted, thresholds, side="left") / pos.size
+    # the sentinel rejects every trial, also from 2**53 on, where max + 1.0 == max
+    far[-1], frr[-1] = 0.0, 1.0
     diff = far - frr  # non-increasing from 1 to -1
 
     idx = int(np.argmax(diff <= 0.0))
@@ -159,6 +161,11 @@ def evaluate_system(scored_trials, bins: int = 30) -> EvalReport:
     if not len(scored):
         raise ValueError("no scored trials to evaluate")
     scores, codes = scored.scores, scored.trials.label_codes
+    lo, hi = float(scores.min()), float(scores.max())
+    if not np.isfinite(2.0 * (hi - lo)):  # histogram edges take up to twice the span
+        if not np.isfinite(scores).all():
+            raise ValueError("scores must be finite")
+        raise ValueError(f"scores span {lo!r} to {hi!r}, too wide for float64 arithmetic")
     eer_percent = {}
     threshold = {}
     n_positive = {}

@@ -83,6 +83,13 @@ def _check_two_outputs(model, *blocks: str) -> None:
             raise ValueError(f"block {name} ends in {outputs} output(s); its softmax needs 2")
 
 
+def _check_input(model, block: str, width: int, source: str) -> None:
+    """Refuse a block that does not read the ``width`` inputs that ``source`` gives it."""
+    inputs = getattr(model, block).spec.input_dim
+    if inputs != width:
+        raise ValueError(f"block {block} reads {inputs} input(s); expected {width} ({source})")
+
+
 def _forward(model, block: str, x, tape: list | None = None) -> np.ndarray:
     """Output of one block; an overflowing layer is an error naming the block.
 
@@ -219,6 +226,12 @@ class MsfmModel:
 
     def __post_init__(self):
         _check_two_outputs(self, "verification_head", "fusion_head")
+        enroll, test = self.enroll_encoder.spec, self.test_encoder.spec
+        _check_input(self, "test_encoder", enroll.input_dim, "enroll_encoder's input")
+        _check_input(self, "verification_head", enroll.output_dim + test.output_dim,
+                     "both encoders' outputs")
+        _check_input(self, "fusion_head", 2 + bool(self.use_sssv_score),
+                     f"use_sssv_score={self.use_sssv_score}")
 
     def tensors(self) -> list:
         return (
@@ -503,6 +516,10 @@ class IepModel:
     margin: float
     asv_dim: int
     cm_dim: int
+
+    def __post_init__(self):
+        _check_input(self, "projector", self.trunk.spec.output_dim + self.asv_dim + self.cm_dim,
+                     "trunk output + asv_dim + cm_dim")
 
     def tensors(self) -> list:
         return self.trunk.params.tensors() + self.projector.params.tensors()

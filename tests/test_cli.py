@@ -1,6 +1,9 @@
+import random
 import re
 import resource
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from sasvkit.data import (
     parse_trial_list,
     write_embedding_store,
 )
+from sasvkit.metrics import ScoredTrials, evaluate_system, format_histogram_csv, format_report_text
 from sasvkit.models import make_iep, make_msfm, save_model
 from test_data import FUZZ_ENROLLMENT, garbled_text
 
@@ -335,6 +339,59 @@ class TestReport:
         doubled.write_text("\n".join(lines + [lines[0]]) + "\n")
         assert main(self.report_args(corpus, doubled, tmp_path / "x")) == 0
 
+    def test_evaluates_own_file_is_joined_by_position(self, corpus, evaluated, tmp_path,
+                                                      monkeypatch):
+        def keyed(*args):
+            raise AssertionError("the keyed path was taken")
+
+        monkeypatch.setattr(cli, "_keyed_scores", keyed)
+        assert main(self.report_args(corpus, evaluated / "scores.txt", tmp_path / "r")) == 0
+
+    def test_shuffled_file_reports_byte_identically(self, corpus, evaluated, tmp_path):
+        lines = (evaluated / "scores.txt").read_text().splitlines()
+        random.Random(0).shuffle(lines)
+        shuffled = tmp_path / "shuffled.txt"
+        shuffled.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report"
+        assert main(self.report_args(corpus, shuffled, out)) == 0
+        for name in ("report.txt", "report.csv", "histogram.csv"):
+            assert (out / name).read_bytes() == (evaluated / name).read_bytes(), name
+
+    def rewritten(self, evaluated, path, score) -> None:
+        """Write evaluate's score file with each score ``v`` of line ``i`` as ``score(i, v)``."""
+        rows = map(str.split, (evaluated / "scores.txt").read_text().splitlines())
+        path.write_text("".join(f"{s} {u} {score(i, float(v))!r}\n"
+                                for i, (s, u, v) in enumerate(rows)))
+
+    def test_scores_beyond_2_pow_53_keep_their_eers(self, corpus, evaluated, tmp_path,
+                                                    run_cli):
+        # a power of two scales every score exactly, so every EER stays the same
+        scaled = tmp_path / "scaled.txt"
+        self.rewritten(evaluated, scaled, lambda i, v: v * 2.0**60)
+        result = run_cli(*self.report_args(corpus, scaled, tmp_path / "r"))
+        assert result.returncode == 0, result.stderr
+        assert all(l.startswith("INFO sasvkit: report: ") for l in result.stderr.splitlines())
+
+        def eers(out):
+            return [row.split(",")[1] for row in (out / "report.csv").read_text().splitlines()]
+
+        assert eers(tmp_path / "r") == eers(evaluated)
+
+    def test_scores_offset_by_1e17_report_finite_eers(self, corpus, evaluated, tmp_path,
+                                                      run_cli):
+        shifted = tmp_path / "shifted.txt"
+        self.rewritten(evaluated, shifted, lambda i, v: v + 1e17)
+        result = run_cli(*self.report_args(corpus, shifted, tmp_path / "r"))
+        assert result.returncode == 0, result.stderr
+        assert all(l.startswith("INFO sasvkit: report: ") for l in result.stderr.splitlines())
+        assert "nan" not in (tmp_path / "r" / "report.txt").read_text()
+
+    def test_span_wider_than_float64_is_one_line(self, corpus, evaluated, tmp_path, run_cli):
+        wide = tmp_path / "wide.txt"
+        self.rewritten(evaluated, wide, lambda i, v: 1e308 if i % 2 else -1e308)
+        result = run_cli(*self.report_args(corpus, wide, tmp_path / "r"))
+        one_error_line(result, "scores span -1e+308 to 1e+308, too wide for float64 arithmetic")
+
 
 class TestDeterminism:
     def test_train_then_evaluate_twice_is_byte_identical(self, corpus, tmp_path):
@@ -527,16 +584,24 @@ class TestParsers:
         parsed = parse_kv_text("\n# note\n a = 1 # trailing\n\nb=x=y\n")
         assert parsed == {"a": "1", "b": "x=y"}
 
+    TWO_TRIALS = "S0 u0 target\nS0 u1 nontarget\n"
+
     def test_score_parser_round_trips_full_precision(self):
-        text = "S0 u0 0.1\nS0 u1 -2.5e-3\n"
-        assert parse_score_file(text) == {
-            ("S0", "u0"): 0.1,
-            ("S0", "u1"): -2.5e-3,
-        }
+        trials = parse_trial_list(self.TWO_TRIALS, {"S0": ("e0",)})
+        for text in ("S0 u0 0.1\nS0 u1 -2.5e-3\n", "S0 u1 -2.5e-3\nS0 u0 0.1\n"):
+            scores = parse_score_file(text, trials)
+            assert scores.dtype == np.float64
+            assert scores.tolist() == [0.1, -2.5e-3]
 
     def test_score_parser_rejects_short_line(self):
+        trials = parse_trial_list(self.TWO_TRIALS, {"S0": ("e0",)})
         with pytest.raises(ValueError, match="line 1"):
-            parse_score_file("S0 u0\n")
+            parse_score_file("S0 u0\n", trials)
+
+    def test_score_parser_names_missing_trials(self):
+        trials = parse_trial_list(self.TWO_TRIALS, {"S0": ("e0",)})
+        with pytest.raises(ValueError, match="^score file covers 1 of 2 trials; missing: S0 u1$"):
+            parse_score_file("S0 u0 0.1\n", trials)
 
 
 SCORE_LINES = st.tuples(st.sampled_from(["S0", "S1"]), st.sampled_from(["T1", "T2"]),
@@ -576,12 +641,14 @@ class TestGarbledText:
     def test_garbled_score_file_is_one_line(self, corpus, garbled_dir, run_cli, text):
         path = garbled_dir / "scores.txt"
         path.write_text(text, encoding="utf-8", newline="")
+        trials = parse_trial_list((garbled_dir / "trials.txt").read_text(), FUZZ_ENROLLMENT)
         try:
-            parse_score_file(text, source=str(path))
+            parse_score_file(text, trials, source=str(path))
             return
         except ValueError as exc:
             message = str(exc)
-        assert re.search(r"line \d+", message)
+        if not message.startswith("score file covers "):
+            assert re.search(r"line \d+", message)
         result = run_cli("report", "--scores", path, "--trials", garbled_dir / "trials.txt",
                          "--enrollment", garbled_dir / "enrollment.txt",
                          "--out", garbled_dir / "report")
@@ -652,6 +719,82 @@ class TestGarbledText:
         assert message.startswith(f"{path} line ")
         result = run_cli("synth", "--config", path, "--out", garbled_dir / "synth")
         one_error_line(result, message, code=2)
+
+
+# "0" and "-0" compare equal, so a key repeated with both is no conflict
+FUZZ_SCORES = st.sampled_from(
+    ["0.5", "-1e3", "0.25", "1_0", "0", "-0", "nan", "inf", "-inf", "1e400", "1e-320", "0x1"])
+FUZZ_TRIAL = st.tuples(st.sampled_from(["S0", "S1"]), st.sampled_from(["T1", "T2", "T3"]),
+                       st.sampled_from(TRIAL_LABELS))
+
+
+@st.composite
+def score_files(draw) -> tuple:
+    """A trial list over FUZZ_ENROLLMENT and a score file for it.
+
+    The file lists the trials in order, shuffled, with some keys repeated
+    (their scores the same or conflicting), or with its last line dropped.
+    The trial list itself may repeat a key.
+    """
+    unique = draw(st.booleans())
+    rows = draw(st.lists(FUZZ_TRIAL, min_size=1, max_size=8,
+                         unique_by=(lambda row: row[:2]) if unique else None))
+    lines = [f"{speaker} {test} {draw(FUZZ_SCORES)}" for speaker, test, _ in rows]
+    kind = draw(st.sampled_from(["order", "shuffled", "repeated", "clipped"]))
+    if kind == "shuffled":
+        lines = draw(st.permutations(lines))
+    elif kind == "repeated":
+        extra = draw(st.lists(st.sampled_from(lines), min_size=1, max_size=3))
+        lines = draw(st.permutations(lines + [
+            line if draw(st.booleans()) else f"{line.rsplit(' ', 1)[0]} {draw(FUZZ_SCORES)}"
+            for line in extra]))
+    elif kind == "clipped":
+        lines = lines[:-1]
+    trial_text = "".join(f"{speaker} {test} {label}\n" for speaker, test, label in rows)
+    return trial_text, "".join(f"{line}\n" for line in lines)
+
+
+class TestScoreFileJoin:
+    """The position join and the keyed path read every score file alike."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=score_files())
+    def test_both_paths_and_the_cli_agree(self, garbled_dir, capfd, case):
+        trial_text, text = case
+        trials_path, path = garbled_dir / "join_trials.txt", garbled_dir / "join_scores.txt"
+        trials_path.write_text(trial_text)
+        path.write_text(text)
+        trials = parse_trial_list(trial_text, FUZZ_ENROLLMENT)
+
+        def outcome(read):
+            try:
+                return read(text, trials, str(path))
+            except ValueError as exc:
+                return str(exc)
+
+        out = garbled_dir / "join_report"
+        capfd.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            keyed, joined = outcome(cli._keyed_scores), outcome(parse_score_file)
+            if isinstance(keyed, str):
+                assert joined == keyed
+                expected = keyed
+            else:
+                assert joined.tobytes() == keyed.tobytes()
+                expected = outcome(lambda *_: evaluate_system(ScoredTrials(trials, keyed)))
+            code = main(["report", "--scores", str(path), "--trials", str(trials_path),
+                         "--enrollment", str(garbled_dir / "enrollment.txt"),
+                         "--out", str(out)])
+        err = capfd.readouterr().err.splitlines()
+        if isinstance(expected, str):
+            assert (code, err) == (1, [f"ERROR sasvkit: {expected}"])
+        else:
+            assert code == 0, err
+            assert all(line.startswith("INFO sasvkit: report: ") for line in err), err
+            assert (out / "report.txt").read_text() == format_report_text(expected)
+            assert (out / "histogram.csv").read_text() == format_histogram_csv(expected)
 
 
 class TestTextEncoding:

@@ -1,5 +1,7 @@
 """Tests for EER computation and report assembly."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,25 @@ class TestComputeEer:
         assert abs(base - affine) < 1e-12
         assert abs(base - squashed) < 1e-12
 
+    @pytest.mark.parametrize("scale", [2.0**53, 2.0**60, 2.0**1000])
+    def test_reject_all_point_holds_beyond_2_pow_53(self, scale):
+        # from 2**53 on, max + 1.0 == max; the sentinel must still reject every trial
+        rng = np.random.default_rng(9)
+        pos = rng.normal(1.0, 0.5, size=30)
+        neg = rng.normal(0.0, 0.5, size=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eer, thr = compute_eer(scale * pos, scale * neg)
+        base, base_thr = compute_eer(pos, neg)
+        assert eer == base
+        assert np.isfinite(thr) and min(pos.min(), neg.min()) * scale <= thr
+
+    def test_constant_scores_beyond_2_pow_53(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eer, thr = compute_eer([1e17, 1e17], [1e17])
+        assert (eer, thr) == (0.5, 1e17)
+
     def test_balanced_random_scores_near_half(self):
         rng = np.random.default_rng(123)
         pos = rng.standard_normal(4000)
@@ -198,6 +219,33 @@ class TestEvaluateSystem:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             evaluate_system([])
+
+    @pytest.mark.parametrize("labels", [("target", "nontarget"), ("target", "target")])
+    def test_span_wider_than_float64_is_refused(self, labels):
+        trials = [scored(labels[0], -1e308, 0), scored(labels[1], 1e308, 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=r"^scores span -1e\+308 to 1e\+308, too wide for float64"):
+                evaluate_system(trials)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_is_refused_without_a_full_metric(self, bad):
+        # no metric has both sides, so only the histogram would have seen it
+        trials = [scored("target", bad, 0), scored("target", 0.5, 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^scores must be finite$"):
+                evaluate_system(trials)
+
+    def test_widest_accepted_span_is_evaluated(self):
+        quarter = np.finfo(np.float64).max / 4
+        trials = [scored("target", quarter, 0), scored("nontarget", -quarter, 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = evaluate_system(trials)
+        assert report.eer_percent["sv"] == 0.0
+        assert sum(int(c.sum()) for c in report.histogram_counts.values()) == 2
 
 
 class TestHistogram:

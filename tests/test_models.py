@@ -883,17 +883,30 @@ def without(header: dict, key: str) -> dict:
     return {k: v for k, v in header.items() if k != key}
 
 
-def with_outputs(header: dict, block: str, outputs: int) -> bytes:
-    """A checkpoint of ``header`` whose ``block`` ends in ``outputs``, all parameters zero."""
-    *layers, (_, in_dim, _) = header["blocks"][block]
-    blocks = dict(header["blocks"], **{block: layers + [["fc", in_dim, outputs]]})
-    header = dict(header, blocks=blocks)
+def with_layers(header: dict, block: str, layers: list) -> bytes:
+    """A checkpoint of ``header`` whose ``block`` holds ``layers``, all parameters zero."""
+    header = dict(header, blocks=dict(header["blocks"], **{block: layers}))
     fc = [layer for spec in header["blocks"].values() for layer in spec if layer[0] == "fc"]
     return checkpoint_bytes(header, bytes(8 * sum((i + 1) * o for _, i, o in fc)))
 
 
+def with_outputs(header: dict, block: str, outputs: int) -> bytes:
+    """A checkpoint of ``header`` whose ``block`` ends in ``outputs``, all parameters zero."""
+    *layers, (_, in_dim, _) = header["blocks"][block]
+    return with_layers(header, block, layers + [["fc", in_dim, outputs]])
+
+
+def with_inputs(header: dict, block: str, inputs: int) -> bytes:
+    """A checkpoint of ``header`` whose ``block`` reads ``inputs``, all parameters zero."""
+    (_, _, out_dim), *layers = header["blocks"][block]
+    return with_layers(header, block, [["fc", inputs, out_dim]] + layers)
+
+
 BASELINE2_HEADER = {"kind": "baseline2", "asv_dim": 6, "cm_dim": 5,
                     "blocks": {"mlp": [["fc", 17, 4], ["elu"], ["fc", 4, 2]]}}
+# the projector reads the trunk's 4 outputs next to the 6 + 5 raw inputs
+IEP_HEADER = {"kind": "iep", "asv_dim": 6, "cm_dim": 5, "margin": 0.5,
+              "blocks": {"trunk": [["fc", 11, 4], ["elu"]], "projector": [["fc", 15, 3]]}}
 
 
 def with_first_layer(header: dict, layer) -> dict:
@@ -929,6 +942,17 @@ MALFORMED_CHECKPOINTS = [
      "block mlp ends in 1 output"),
     ("baseline2-four-outputs", lambda h, p: with_outputs(BASELINE2_HEADER, "mlp", 4),
      "block mlp ends in 4 output"),
+    # input widths that disagree with the blocks or settings feeding them
+    ("sssv-flag-flipped", lambda h, p: checkpoint_bytes(dict(h, use_sssv_score=False), p),
+     r"^block fusion_head reads 3 input\(s\); expected 2 \(use_sssv_score=False\)$"),
+    ("fusion-head-four-inputs", lambda h, p: with_inputs(h, "fusion_head", 4),
+     r"^block fusion_head reads 4 input\(s\); expected 3 \(use_sssv_score=True\)$"),
+    ("verification-head-input", lambda h, p: with_inputs(h, "verification_head", 321),
+     r"^block verification_head reads 321 input\(s\); expected 320 \(both encoders' outputs\)$"),
+    ("encoders-disagree", lambda h, p: with_inputs(h, "test_encoder", 10),
+     r"^block test_encoder reads 10 input\(s\); expected 11 \(enroll_encoder's input\)$"),
+    ("iep-projector-input", lambda h, p: with_inputs(IEP_HEADER, "projector", 14),
+     r"^block projector reads 14 input\(s\); expected 15 \(trunk output \+ asv_dim \+ cm_dim\)$"),
 ]
 
 
@@ -1007,6 +1031,13 @@ class TestCheckpoints:
         model = load_model(path)
         assert isinstance(model, Baseline2Model)
         assert [l.out_dim for l in model.mlp.spec.fc_layers] == [4, 2]
+
+    def test_small_iep_of_consistent_widths_loads(self, tmp_path):
+        path = tmp_path / "small_iep.ckpt"
+        path.write_bytes(with_layers(IEP_HEADER, "projector", [["fc", 15, 3]]))
+        model = load_model(path)
+        assert isinstance(model, IepModel)
+        assert model.projector.spec.input_dim == 15
 
     def test_msfm_roundtrip_is_bit_exact(self, tmp_path):
         model = make_msfm(7, 5, use_sssv_score=False, rng=np.random.default_rng(1))
