@@ -5,8 +5,12 @@ Run from the root of a sasvkit checkout; the working tree is the change:
     python3 scripts/bench_pairs.py --parent HEAD~1 --workload train-wide \
         --seeds 1 2 3 4 5 6 7 8 9 --out BENCH_7.json
 
-The parent revision is exported with ``git archive`` into a temporary
-directory, which is removed afterwards. For every workload and seed the script
+Both sides run from exports in one temporary directory, which is removed
+afterwards: the parent revision through ``git archive`` into ``parent/``, and
+the working tree's tracked and untracked, non-ignored files (``git ls-files
+-co --exclude-standard``) copied into ``change/``. The two paths have the same
+length, since the directory a run starts from moves where its heap lands and
+so its peak resident set. For every workload and seed the script
 runs ``benchmark/run.py --trace 0`` once on each side, for the ``run_seconds``
 that ``BENCHMARK.json`` sets, the parent first on
 even pairs and the change first on odd ones, so that a drift of the machine's
@@ -35,6 +39,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -58,6 +63,16 @@ def export(rev: str, dest: Path, cwd: Path) -> None:
                              capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def copy_working_tree(checkout: Path, dest: Path) -> None:
+    """Copy the tracked and untracked, non-ignored files of ``checkout`` into ``dest``."""
+    listed = git("ls-files", "-co", "--exclude-standard", "-z", cwd=checkout)
+    for name in filter(None, listed.split("\0")):
+        source = checkout / name
+        if source.is_file():  # a tracked file deleted from the working tree is skipped
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def trees(checkout: Path, rev: str | None) -> dict:
@@ -169,24 +184,28 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    change = Path.cwd()
-    spec = json.loads((change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    checkout = Path.cwd()
+    spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     unknown = set(args.workload) - {w["name"] for w in spec["workloads"]}
     if unknown:
         parser.error(f"unknown workload(s): {', '.join(sorted(unknown))}")
-    parent_rev = git("rev-parse", args.parent, cwd=change)
+    parent_rev = git("rev-parse", args.parent, cwd=checkout)
     record = {
-        "change": {"head": git("rev-parse", "HEAD", cwd=change),
-                   "dirty": bool(git("status", "--porcelain", cwd=change)),
-                   "trees": trees(change, None)},
-        "parent": {"head": parent_rev, "trees": trees(change, parent_rev)},
+        "change": {"head": git("rev-parse", "HEAD", cwd=checkout),
+                   "dirty": bool(git("status", "--porcelain", cwd=checkout)),
+                   "trees": trees(checkout, None),
+                   "ran_from": "export of the working tree (git ls-files -co --exclude-standard)"},
+        "parent": {"head": parent_rev, "trees": trees(checkout, parent_rev),
+                   "ran_from": "export of the revision (git archive)"},
         "seeds": list(dict.fromkeys(args.seeds + [HELD_OUT_SEED])),
         "seconds": spec["run_seconds"],
     }
     with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp) / "parent"
-        export(parent_rev, parent, change)
+        # sibling directories whose paths have the same length
+        parent, change = Path(tmp) / "parent", Path(tmp) / "change"
+        export(parent_rev, parent, checkout)
+        copy_working_tree(checkout, change)
         record["workloads"] = run_pairs(args, parent, change, better, spec["run_seconds"])
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")

@@ -43,7 +43,19 @@ from .data import (
     write_trial_list,
 )
 from .metrics import ScoredTrials, evaluate_system, write_report
-from .models import SYSTEMS, load_model, save_model, score_trials, system_name
+from .models import (
+    SYSTEMS,
+    _check_dim,
+    load_model,
+    resolve_store,
+    save_model,
+    score_tables,
+    system_name,
+    trial_tables,
+)
+# evaluate no longer calls score_trials, but benchmark/spans.py wraps it here
+# by name (its models.score_resolve boundary), so it stays importable from cli
+from .models import score_trials  # noqa: F401
 from .neuralcore import TrainConfig
 from .sampling import SynthConfig, generate_synthetic, synth_bytes
 
@@ -359,10 +371,20 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
             raise UsageError(
                 f"checkpoint {checkpoint} holds a {actual} model, not {kind}"
             )
-    asv_store, cm_store = _load_stores(settings, "evaluate")
+    store_paths = {side: _existing_path(settings, f"{side}_store", "evaluate")
+                   for side in ("asv", "cm")}
     trials = _load_trials(settings, "evaluate")
+
+    def resolve(side):
+        # the store lives only here: the next one loads after it is dropped
+        store = load_embedding_store(store_paths[side], side)
+        _check_dim(system, store, side)
+        return resolve_store(trials, store, side)
+
+    asv, cm = resolve("asv"), resolve("cm")
+    tables = trial_tables(trials, asv, cm)
     _LOG.info("evaluate: scoring %d trials with %s", len(trials), kind)
-    scored = score_trials(system, trials, asv_store, cm_store)
+    scored = score_tables(system, trials, tables, cm.fallbacks)
     if scored.cm_fallbacks:
         _LOG.info(
             "evaluate: %d enrollment(s) have no CM embedding; scored with the CM store mean",

@@ -79,10 +79,13 @@ def _to_float32(values: np.ndarray) -> np.ndarray:
 class EmbeddingStore:
     """Mapping from utterance id to a fixed-dimension embedding vector.
 
-    The vectors are the rows of one contiguous float32 matrix, the precision
-    of the binary file format, found through an id -> row dict, so gathering
-    any set of ids is one fancy index. ``matrix`` and ``mean_vector`` return
-    float64; ``get`` and ``items`` return read-only float32 rows.
+    The vectors are the rows of one float32 matrix, the precision of the
+    binary file format, found through an id -> row dict, so gathering any set
+    of ids is one fancy index. A store loaded from a binary file of
+    fixed-width records keeps its matrix as a read-only view into the file's
+    bytes; ``add`` then grows the rows into a new array. ``matrix`` and
+    ``mean_vector`` return float64; ``get`` and ``items`` return read-only
+    float32 rows.
     """
 
     def __init__(self, dim: int, kind: str):
@@ -114,9 +117,10 @@ class EmbeddingStore:
                     raise ValueError(f"duplicate utterance id {utterance_id!r}")
                 seen.add(utterance_id)
         stored = _to_float32(matrix)
-        finite = np.isfinite(stored)
-        if not finite.all():
-            first = utterance_ids[int(np.argmin(finite.all(axis=1)))]
+        # min and max are nan or inf exactly when some value is, and build no
+        # store-sized mask; the offending row is looked for only on failure
+        if stored.size and not (np.isfinite(stored.min()) and np.isfinite(stored.max())):
+            first = utterance_ids[int(np.argmin(np.isfinite(stored).all(axis=1)))]
             raise ValueError(f"vector for {first!r} contains non-finite values")
         store._matrix = stored
         return store
@@ -279,7 +283,9 @@ def _fixed_width_records(raw: bytes, offset: int, count: int, vec_bytes: int):
 
     Applies when the records from ``offset`` to the end of ``raw`` all have
     the first record's id length and every id is ASCII. Returns None
-    otherwise, and the record-by-record loop then names what is wrong.
+    otherwise, and the record-by-record loop then names what is wrong. The
+    matrix is a strided, read-only view into ``raw``, so a loaded store holds
+    one buffer of about the file's size.
     """
     if not count:
         return None
@@ -296,7 +302,7 @@ def _fixed_width_records(raw: bytes, offset: int, count: int, vec_bytes: int):
         return None
     text = encoded.decode("ascii")
     ids = [text[i * width : (i + 1) * width] for i in range(count)]
-    return ids, body[:, 2 + width :].copy().view("<f4")
+    return ids, body[:, 2 + width :].view("<f4")
 
 
 def _load_tsv_store(text: str, kind: str) -> EmbeddingStore:

@@ -10,6 +10,7 @@ false-rejection curves.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,7 +135,15 @@ def _histogram(scores: np.ndarray, codes: np.ndarray, bins: int) -> tuple:
         raise ValueError("no trials to histogram")
     lo, hi = float(scores.min()), float(scores.max())
     if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
+        # pad by 2 * bins ulps at least, so that the edges strictly increase
+        # where +-0.5 rounds away (beyond 2^53); at float64's ends, pad inwards
+        pad = max(0.5, 2.0 * bins * math.ulp(lo))
+        if math.isinf(hi + pad):
+            lo = lo - 2.0 * pad
+        elif math.isinf(lo - pad):
+            hi = hi + 2.0 * pad
+        else:
+            lo, hi = lo - pad, hi + pad
     edges = np.linspace(lo, hi, bins + 1)
     counts = {}
     for i, label in enumerate(TRIAL_LABELS):

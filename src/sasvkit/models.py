@@ -414,16 +414,11 @@ def _protocol_ids(records, asv_store: EmbeddingStore, cm_store: EmbeddingStore) 
     return ids
 
 
-def _check_dims(asv_store: EmbeddingStore, cm_store: EmbeddingStore,
-                asv_dim: int, cm_dim: int) -> None:
-    if asv_store.dim != asv_dim:
-        raise ValueError(
-            f"asv store dimension {asv_store.dim} does not match model ({asv_dim})"
-        )
-    if cm_store.dim != cm_dim:
-        raise ValueError(
-            f"cm store dimension {cm_store.dim} does not match model ({cm_dim})"
-        )
+def _check_dim(system, store: EmbeddingStore, kind: str) -> None:
+    """Refuse a ``kind`` store whose dimension is not the one ``system`` reads."""
+    dim = getattr(system, f"{kind}_dim", None)
+    if dim is not None and store.dim != dim:
+        raise ValueError(f"{kind} store dimension {store.dim} does not match model ({dim})")
 
 
 def _fit(model, config: TrainConfig, batch_size: int, names: tuple,
@@ -715,50 +710,75 @@ def train_baseline2(records, asv_store: EmbeddingStore, cm_store: EmbeddingStore
 # trial scoring
 
 
-def _trial_arrays(trials: TrialList, asv_store: EmbeddingStore,
-                  cm_store: EmbeddingStore) -> tuple:
-    """Resolve a trial list into TrialTables; also count the CM fallbacks.
+class StoreRows(NamedTuple):
+    """One store's share of a trial list's tables, from ``resolve_store``.
 
-    Each distinct enrollment (speaker and utterance list) and each distinct
-    test utterance gets one table row. Test utterances must exist in both
-    stores; all gaps are reported in one error. An enrollment none of whose
-    utterances is in the CM store falls back to the CM store-wide mean, since
-    enrollment audio often ships without CM output; the second return value
-    counts the enrollments that did.
+    ``enroll`` and ``test`` are None when ``gaps``, the missing ids, is not
+    empty. ``fallbacks`` counts the enrollments scored with the store mean.
     """
-    test_ids = trials.test_ids
-    enroll_utts = {u for _, ids in trials.enrollments for u in ids}
-    missing = {f"{u} (asv)" for u in enroll_utts.union(test_ids) if u not in asv_store}
-    missing |= {f"{u} (cm)" for u in test_ids if u not in cm_store}
-    if missing:
-        unique = sorted(missing)
-        raise KeyError(
-            f"{len(unique)} embedding(s) missing: " + ", ".join(unique[:20])
-            + ("..." if len(unique) > 20 else "")
-        )
-    enroll_asv = []
-    enroll_cm = []
+
+    enroll: np.ndarray | None
+    test: np.ndarray | None
+    gaps: list
+    fallbacks: int
+
+
+def resolve_store(trials: TrialList, store: EmbeddingStore, kind: str) -> StoreRows:
+    """The rows that ``trials`` reads from the ``kind`` ("asv" or "cm") store.
+
+    Each distinct enrollment (speaker and utterance list) gets the mean of
+    its utterances' vectors and each distinct test utterance its vector.
+    Every utterance must be in the ASV store; the CM store needs only the test
+    utterances. An enrollment none of whose utterances is in the CM store
+    falls back to the CM store-wide mean, since enrollment audio often ships
+    without CM output. Each missing id is a gap named ``"<id> (<kind>)"``.
+    """
+    wanted = trials.test_ids
+    if kind == "asv":
+        wanted = {u for _, ids in trials.enrollments for u in ids}.union(wanted)
+    gaps = [f"{u} ({kind})" for u in wanted if u not in store]
+    if gaps:
+        return StoreRows(None, None, gaps, 0)
+    enroll = []
     fallbacks = 0
-    cm_mean = None
+    mean = None
     for _, ids in trials.enrollments:
-        enroll_asv.append(enrollment_embedding(asv_store, ids))
-        present = [u for u in ids if u in cm_store]
+        present = [u for u in ids if u in store]
         if present:
-            enroll_cm.append(enrollment_embedding(cm_store, present))
+            enroll.append(enrollment_embedding(store, present))
         else:
             fallbacks += 1
-            if cm_mean is None:
-                cm_mean = cm_store.mean_vector()
-            enroll_cm.append(cm_mean)
-    tables = TrialTables(
-        enroll_asv=np.stack(enroll_asv),
-        enroll_cm=np.stack(enroll_cm),
-        test_asv=asv_store.matrix(test_ids),
-        test_cm=cm_store.matrix(test_ids),
-        enroll_index=trials.enroll_index,
-        test_index=trials.test_index,
-    )
-    return tables, fallbacks
+            if mean is None:
+                mean = store.mean_vector()
+            enroll.append(mean)
+    enroll = np.stack(enroll) if enroll else np.empty((0, store.dim))
+    return StoreRows(enroll, store.matrix(trials.test_ids), [], fallbacks)
+
+
+def trial_tables(trials: TrialList, asv: StoreRows, cm: StoreRows) -> TrialTables:
+    """The TrialTables of both stores' rows; all gaps are reported in one error."""
+    gaps = sorted(set(asv.gaps + cm.gaps))
+    if gaps:
+        raise KeyError(
+            f"{len(gaps)} embedding(s) missing: " + ", ".join(gaps[:20])
+            + ("..." if len(gaps) > 20 else "")
+        )
+    return TrialTables(asv.enroll, cm.enroll, asv.test, cm.test,
+                       trials.enroll_index, trials.test_index)
+
+
+def score_tables(system, trials: TrialList, t: TrialTables, cm_fallbacks: int) -> ScoredTrials:
+    """Score every trial of ``trials`` from its resolved tables ``t``."""
+    if not len(trials):
+        return ScoredTrials(trials, np.empty(0))
+    if isinstance(system, str):
+        e, k = t.enroll_index, t.test_index
+        scores = _pair_cosine(t.enroll_asv, t.test_asv, e, k)
+        if system == "baseline1":
+            scores = scores + _pair_cosine(t.enroll_cm, t.test_cm, e, k)
+    else:
+        scores = system.score_batch(t)
+    return ScoredTrials(trials, scores, cm_fallbacks)
 
 
 def score_trials(system, trials, asv_store: EmbeddingStore,
@@ -771,21 +791,12 @@ def score_trials(system, trials, asv_store: EmbeddingStore,
     """
     if not isinstance(trials, TrialList):
         trials = TrialList.from_records(trials)
-    if not len(trials):
-        return ScoredTrials(trials, np.empty(0))
     if system not in ("baseline1", "asv-only") and not hasattr(system, "score_batch"):
         raise ValueError(f"unknown scoring system {system!r}")
-    if hasattr(system, "asv_dim"):
-        _check_dims(asv_store, cm_store, system.asv_dim, system.cm_dim)
-    t, fallbacks = _trial_arrays(trials, asv_store, cm_store)
-    if isinstance(system, str):
-        e, k = t.enroll_index, t.test_index
-        scores = _pair_cosine(t.enroll_asv, t.test_asv, e, k)
-        if system == "baseline1":
-            scores = scores + _pair_cosine(t.enroll_cm, t.test_cm, e, k)
-    else:
-        scores = system.score_batch(t)
-    return ScoredTrials(trials, scores, fallbacks)
+    _check_dim(system, asv_store, "asv")
+    _check_dim(system, cm_store, "cm")
+    asv, cm = resolve_store(trials, asv_store, "asv"), resolve_store(trials, cm_store, "cm")
+    return score_tables(system, trials, trial_tables(trials, asv, cm), cm.fallbacks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import random
 import re
 import resource
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from sasvkit.data import (
     write_embedding_store,
 )
 from sasvkit.metrics import ScoredTrials, evaluate_system, format_histogram_csv, format_report_text
-from sasvkit.models import make_iep, make_msfm, save_model
+from sasvkit.models import make_iep, make_msfm, save_model, score_tables
 from test_data import FUZZ_ENROLLMENT, garbled_text
 
 SYNTH_ARTIFACTS = (
@@ -229,6 +231,38 @@ class TestEvaluate:
         message = error_line(capfd)
         assert "ghost-a" in message and "ghost-b" in message
 
+    def test_gaps_in_both_stores_are_one_line(self, corpus, tmp_path, run_cli):
+        enrollment = parse_enrollment_map((corpus / "enrollment.txt").read_text())
+        (tmp_path / "enrollment.txt").write_text(
+            f"S0000 lost,{enrollment['S0000'][0]}\nS0001 {enrollment['S0001'][0]}\n")
+        trials = tmp_path / "trials.txt"
+        trials.write_text("S0000 ghost target\nS0001 ghost spoof\nS0001 phantom nontarget\n")
+        args = evaluate_args(corpus, tmp_path / "x", trials=trials)
+        args[args.index("--enrollment") + 1] = str(tmp_path / "enrollment.txt")
+        one_error_line(run_cli(*args), "5 embedding(s) missing: ghost (asv), ghost (cm), "
+                                       "lost (asv), phantom (asv), phantom (cm)")
+
+    @pytest.mark.parametrize("dims, message", [
+        ((17, 12), "asv store dimension 16 does not match model (17)"),
+        ((16, 11), "cm store dimension 12 does not match model (11)"),
+    ])
+    def test_store_dimension_mismatch_names_the_store(self, corpus, tmp_path, run_cli,
+                                                      dims, message):
+        ckpt = tmp_path / "msfm.ckpt"
+        save_model(make_msfm(*dims), ckpt)
+        args = evaluate_args(corpus, tmp_path / "x", model="msfm", checkpoint=ckpt)
+        one_error_line(run_cli(*args), message)
+
+    def test_trial_list_is_read_before_the_stores(self, corpus, tmp_path, run_cli):
+        (tmp_path / "bad.emb").write_bytes(b"SASVEMB1")
+        trials = tmp_path / "trials.txt"
+        trials.write_text("S0000 x target\nS0000 y\n")
+        args = evaluate_args(corpus, tmp_path / "x", trials=trials)
+        args[args.index("--asv-store") + 1] = str(tmp_path / "bad.emb")
+        one_error_line(run_cli(*args), "line 2: expected 3 columns, got 2")
+        trials.write_text("S0000 x target\n")
+        one_error_line(run_cli(*args), "truncated store header")
+
     def test_malformed_checkpoint_logs_one_error_line(self, corpus, tmp_path, capfd):
         # in-process: the package logger writes to stderr whatever the root logger holds
         ckpt = tmp_path / "bad.ckpt"
@@ -265,6 +299,61 @@ class TestEvaluate:
         for name in ("report.txt", "report.csv", "histogram.csv"):
             assert (tmp_path / "report" / name).read_bytes() == (
                 tmp_path / "eval" / name).read_bytes(), name
+
+
+class TestEvaluateMemory:
+    """evaluate loads, resolves and drops one store at a time."""
+
+    N_UTTS, ASV_DIM, CM_DIM = 10_000, 128, 96
+
+    @pytest.fixture(scope="class")
+    def wide_stores(self, tmp_path_factory):
+        # stores that dwarf the trial tables: 10,000 utterances, 12 trials
+        out = tmp_path_factory.mktemp("wide_stores")
+        rng = np.random.default_rng(4)
+        ids = [f"U{i:05d}" for i in range(self.N_UTTS)]
+        for kind, dim in (("asv", self.ASV_DIM), ("cm", self.CM_DIM)):
+            store = EmbeddingStore._from_matrix(kind, ids, rng.standard_normal((len(ids), dim)))
+            write_embedding_store(store, out / f"{kind}.emb")
+        (out / "enrollment.txt").write_text("".join(
+            f"S{s} U{2 * s:05d},U{2 * s + 1:05d}\n" for s in range(4)))
+        (out / "trials.txt").write_text("".join(
+            f"S{s} U{100 + t:05d} {TRIAL_LABELS[(s + t) % 3]}\n"
+            for s in range(4) for t in range(3)))
+        return out
+
+    def args(self, corpus, out):
+        return evaluate_args(corpus, out, trials=corpus / "trials.txt")
+
+    def test_peak_stays_below_the_two_store_matrices(self, wide_stores, tmp_path):
+        matrices = 4 * self.N_UTTS * (self.ASV_DIM + self.CM_DIM)
+        tracemalloc.start()
+        try:
+            assert main(self.args(wide_stores, tmp_path / "eval")) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < matrices, (peak, matrices)
+
+    def test_one_store_is_alive_at_a_time_and_none_while_scoring(self, wide_stores, tmp_path,
+                                                                 monkeypatch):
+        live = weakref.WeakSet()
+        seen = []
+
+        def load(path, kind):
+            seen.append((kind, len(live)))
+            store = load_embedding_store(path, kind)
+            live.add(store)
+            return store
+
+        def score(*args):
+            seen.append(("score", len(live)))
+            return score_tables(*args)
+
+        monkeypatch.setattr(cli, "load_embedding_store", load)
+        monkeypatch.setattr(cli, "score_tables", score)
+        assert main(self.args(wide_stores, tmp_path / "eval")) == 0
+        assert seen == [("asv", 0), ("cm", 0), ("score", 0)]
 
 
 class TestAbsentMetric:
@@ -385,6 +474,25 @@ class TestReport:
         assert result.returncode == 0, result.stderr
         assert all(l.startswith("INFO sasvkit: report: ") for l in result.stderr.splitlines())
         assert "nan" not in (tmp_path / "r" / "report.txt").read_text()
+
+    @pytest.mark.parametrize("value", [1e17, -1e17, 1.7976931348623157e308])
+    def test_equal_scores_beyond_2_pow_53_get_increasing_edges(self, corpus, evaluated,
+                                                                tmp_path, run_cli, value):
+        equal = tmp_path / "equal.txt"
+        self.rewritten(evaluated, equal, lambda i, v: value)
+        result = run_cli(*self.report_args(corpus, equal, tmp_path / "r"))
+        assert result.returncode == 0, result.stderr
+        rows = [line.split(",") for line in
+                (tmp_path / "r" / "histogram.csv").read_text().splitlines()[1:]]
+        n_trials = len(equal.read_text().splitlines())
+        assert len(rows) == 3 * 30
+        assert sum(int(count) for *_, count in rows) == n_trials
+        for label in TRIAL_LABELS:
+            bins = [(float(low), float(high), int(count))
+                    for name, low, high, count in rows if name == label]
+            assert all(low < high for low, high, _ in bins)
+            assert all(a[1] == b[0] for a, b in zip(bins, bins[1:]))
+            assert all(low <= value <= high for low, high, count in bins if count)
 
     def test_span_wider_than_float64_is_one_line(self, corpus, evaluated, tmp_path, run_cli):
         wide = tmp_path / "wide.txt"

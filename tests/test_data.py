@@ -472,6 +472,46 @@ class TestFixedWidthRecords:
             np.testing.assert_array_equal(store.matrix(store.ids()), [v for _, v in records])
 
 
+    def test_loaded_rows_are_a_read_only_view_of_the_file(self, tmp_path):
+        path = tmp_path / "s.emb"
+        path.write_bytes(binary_store_bytes(2, FIXED_RECORDS))
+        store = load_embedding_store(path, "asv")
+        assert not store._matrix.flags.writeable and not store._matrix.flags.owndata
+        with pytest.raises(ValueError):
+            store._matrix[0, 0] = 0.0
+        row = store.get("bb")
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+        np.testing.assert_array_equal(row, [3.0, 4.0])
+
+    def test_add_after_loading_grows_the_store(self, tmp_path):
+        path = tmp_path / "s.emb"
+        path.write_bytes(binary_store_bytes(2, FIXED_RECORDS))
+        store = load_embedding_store(path, "cm")
+        added = [("dd", [7.0, 8.0]), ("e", [-1.0, 0.5])]
+        for utt_id, vector in added:
+            store.add(utt_id, vector)
+        records = FIXED_RECORDS + added
+        assert store.ids() == [u for u, _ in records]
+        np.testing.assert_array_equal(store.matrix(store.ids()), [v for _, v in records])
+        np.testing.assert_array_equal(store.get("aa"), [1.0, 2.0])
+        np.testing.assert_array_equal(store.mean_vector(), np.mean([v for _, v in records], 0))
+        assert path.read_bytes() == binary_store_bytes(2, FIXED_RECORDS)
+        write_embedding_store(store, tmp_path / "grown.emb")
+        assert (tmp_path / "grown.emb").read_bytes() == binary_store_bytes(2, records)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_the_first_bad_id(self, tmp_path, bad):
+        records = [("aa", [1.0, 2.0]), ("bb", [3.0, bad]), ("cc", [bad, 6.0]), ("dd", [0.0, 0.0])]
+        raw = binary_store_bytes(2, records)
+        assert _fixed_width_records(raw, 16, len(records), 8) is not None
+        path = tmp_path / "s.emb"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="^vector for 'bb' contains non-finite values$"):
+            load_embedding_store(path, "asv")
+
+
 # the first store takes the fixed-width path, the second the record loop
 FUZZ_STORES = [
     binary_store_bytes(3, [(f"u{i}", [i + 1.0, -0.5, 2.0 ** i]) for i in range(4)]),
@@ -481,7 +521,11 @@ FUZZ_STORES = [
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("store_fuzz")
+    path = tmp_path_factory.mktemp("store_fuzz")
+    # evaluate reads its trial list before the stores, so it needs a good one
+    (path / "enrollment.txt").write_text("spk u0\n")
+    (path / "trials.txt").write_text("spk u0 target\n")
+    return path
 
 
 class TestBinaryStoreRobustness:
@@ -505,7 +549,8 @@ class TestBinaryStoreRobustness:
         except ValueError:
             pass
         result = run_cli("evaluate", "--model", "baseline1", "--asv-store", path,
-                         "--cm-store", path, "--out", fuzz_dir / "eval")
+                         "--cm-store", path, "--trials", fuzz_dir / "trials.txt",
+                         "--enrollment", fuzz_dir / "enrollment.txt", "--out", fuzz_dir / "eval")
         assert result.returncode == 1
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("ERROR sasvkit: "), result.stderr

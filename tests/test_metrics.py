@@ -267,6 +267,21 @@ class TestHistogram:
         assert edges[0] < 0.5 < edges[-1]
         assert counts["target"].sum() == 4
 
+    @pytest.mark.parametrize("value", [0.0, -3.25, 2.0**40])
+    def test_ordinary_identical_scores_keep_the_half_unit_pad(self, value):
+        report = evaluate_system([scored("target", value, i) for i in range(3)], bins=30)
+        expected = np.linspace(value - 0.5, value + 0.5, 31)
+        assert report.histogram_edges.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bins", [1, 2, 30, 1000])
+    @pytest.mark.parametrize("value", [2.0**53, 1e17, -1e17, 1e300, -1.7976931348623157e308])
+    def test_identical_scores_beyond_2_pow_53_get_increasing_edges(self, value, bins):
+        report = evaluate_system([scored("target", value, i) for i in range(3)], bins=bins)
+        edges, counts = report.histogram_edges, report.histogram_counts["target"]
+        assert np.isfinite(edges).all() and (np.diff(edges) > 0).all()
+        (full,) = np.flatnonzero(counts)
+        assert edges[full] <= value <= edges[full + 1] and counts[full] == 3
+
     def test_bad_bins_rejected(self):
         with pytest.raises(ValueError):
             evaluate_system([scored("target", 0.1)], bins=0)

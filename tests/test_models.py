@@ -27,7 +27,6 @@ from sasvkit.models import (
     TrialTables,
     _msfm_pass,
     _row_blocks,
-    _trial_arrays,
     baseline2_batch_loss,
     iep_batch_loss,
     iep_project,
@@ -37,11 +36,13 @@ from sasvkit.models import (
     make_msfm,
     msfm_batch_losses,
     pair_batch,
+    resolve_store,
     save_model,
     score_trials,
     train_baseline2,
     train_iep,
     train_msfm,
+    trial_tables,
     triplet_loss,
 )
 from sasvkit.cli import main
@@ -639,7 +640,9 @@ class TestGatherOnceScoring:
         # gives each trial its own enrollment and test rows
         trials, asv, cm = shared_item_trials()
         system = untrained(name)
-        tables, _ = _trial_arrays(TrialList.from_records(trials), asv, cm)
+        trials_list = TrialList.from_records(trials)
+        tables = trial_tables(trials_list, resolve_store(trials_list, asv, "asv"),
+                              resolve_store(trials_list, cm, "cm"))
         e, k = tables.enroll_index, tables.test_index
         assert len(tables.enroll_asv) == 45 and len(tables.test_asv) == 50
         per_trial = one_to_one(tables.enroll_asv[e], tables.enroll_cm[e],
